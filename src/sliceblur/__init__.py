@@ -28,7 +28,6 @@ from .approx import (
 from .filtering import (
     KernelTooLargeError,
     filter_at,
-    prefix_sum,
     separable_filter_2d,
     slice_filter_1d,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "filter_at",
     "mse",
     "optimal_constants",
-    "prefix_sum",
     "psnr",
     "quadratic_error",
     "sample_gaussian",

@@ -71,7 +71,7 @@ def _scaled_kernel(k: int, sigma: float, params_path=None) -> approx.SliceKernel
 def cmd_filter(args) -> int:
     kernel = _scaled_kernel(args.k, args.sigma, args.params)
     image, maxval = pgm.read_pgm(args.input)
-    out = separable_filter_2d(image, kernel, parallel=args.parallel)
+    out = separable_filter_2d(image, kernel)
     pgm.write_pgm(args.output, out, maxval)
     return 0
 
@@ -94,13 +94,15 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _median_time_ns(fn, reps: int) -> int:
+def _median_time_ns(fn, reps: int):
+    """Median wall time of ``reps`` calls, and the last call's result."""
     times = []
     for _ in range(reps):
+        result = None  # free the previous output before the next timed call
         t0 = time.perf_counter_ns()
-        fn()
+        result = fn()
         times.append(time.perf_counter_ns() - t0)
-    return int(statistics.median(times))
+    return int(statistics.median(times)), result
 
 
 def _l2_partitions(ks) -> dict[int, approx.Partition]:
@@ -118,7 +120,6 @@ def cmd_bench(args) -> int:
         raise ValueError("need at least 3 repetitions")
     images = [(p.stem, pgm.read_pgm(p)[0]) for p in corpus]
     l2_parts = _l2_partitions(args.k) if args.l2 else {}
-    suffix = "-parallel" if args.parallel else ""
 
     arms = [("slices-qf", {k: approx.table_defaults(k)[0] for k in args.k})]
     if args.l2:
@@ -132,16 +133,16 @@ def cmd_bench(args) -> int:
         # each sigma's oracle would fault in a sigma-dependent number of pages.
         exact = []
         for sigma in args.sigma:
-            t_exact = _median_time_ns(
+            t_exact, reference = _median_time_ns(
                 lambda: oracle.exact_gaussian_2d(image, sigma), args.reps
             )
             taps = oracle.gaussian_taps(sigma).size
             exact.append((
                 BenchRecord(
-                    "exact" + suffix, 0, sigma, image_id, t_exact, oracle.PSNR_INF,
+                    "exact", 0, sigma, image_id, t_exact, oracle.PSNR_INF,
                     2.0 * (taps - 1), 2.0 * taps,
                 ),
-                oracle.exact_gaussian_2d(image, sigma),
+                reference,
             ))
         for sigma, (exact_record, reference) in zip(args.sigma, exact):
             records.append(exact_record)
@@ -149,17 +150,17 @@ def cmd_bench(args) -> int:
                 for k in args.k:
                     base = approx.to_slices(parts[k], approx.SIGMA0)
                     kernel = approx.scale_to_sigma(base, sigma)
-                    run = lambda: separable_filter_2d(
-                        image, kernel, parallel=args.parallel
+                    t, filtered = _median_time_ns(
+                        lambda: separable_filter_2d(image, kernel), args.reps
                     )
-                    t = _median_time_ns(run, args.reps)
                     records.append(
                         BenchRecord(
-                            method + suffix, k, sigma, image_id, t,
-                            oracle.psnr(run(), reference),
+                            method, k, sigma, image_id, t,
+                            oracle.psnr(filtered, reference),
                             4.0 * k, 2.0 * k,
                         )
                     )
+                    del filtered  # time every fast arm with the same memory held
 
     with open(args.csv, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -196,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--k", type=int, default=3, choices=(3, 4, 5))
     p.add_argument("--params", default=None, help="parameter file (overrides --k)")
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(fn=cmd_filter)
 
     p = sub.add_parser("optimize", help="compute approximation parameters")
@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--csv", required=True)
     p.add_argument("--l2", action="store_true", help="add l2-optimized rows")
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("synth", help="generate a synthetic PGM image")

@@ -7,15 +7,14 @@ Each output sample is
 where I is the cumulative sum of the input, so the cost per sample is
 2k additions and k multiplications regardless of the kernel width.
 
-Boundaries use replicate (clamp) padding, realized analytically on the
-cumulative sums: I(-1) = 0 and I(j) = (j + 1) * f[0] for j < -1 on the
-left, I(j) = I(n-1) + (j - n + 1) * f[n-1] on the right.  All arithmetic
-is float64.
+Boundaries use replicate (clamp) padding.  Each pass builds I once for
+j in [-P-1, n+P-1], P the largest slice radius: the plain cumulative sum
+in the middle, and the analytic ramps I(j) = (j + 1) * f[0] for j < 0 and
+I(j) = I(n-1) + (j - n + 1) * f[n-1] for j >= n.  Every slice term is then
+the difference of two contiguous views of it.  All arithmetic is float64.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -28,14 +27,6 @@ class KernelTooLargeError(ValueError):
     """A slice radius reaches or exceeds the filtered extent."""
 
 
-def prefix_sum(values) -> np.ndarray:
-    """Cumulative sum I(x) = sum of values[0..x]."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.size < 1:
-        raise ValueError("need a non-empty 1D signal")
-    return np.cumsum(values)
-
-
 def _check_kernel(kernel: SliceKernel, n: int):
     if kernel.max_radius >= n:
         raise KernelTooLargeError(
@@ -45,22 +36,50 @@ def _check_kernel(kernel: SliceKernel, n: int):
         raise ValueError("kernel must have unit DC gain; call normalized()")
 
 
-def _filter_rows(arr: np.ndarray, kernel: SliceKernel) -> np.ndarray:
-    """Slice-filter every row of a 2D array along its last axis."""
-    m, n = arr.shape
-    cum = np.cumsum(arr, axis=1)
-    x = np.arange(n)
-    out = np.zeros_like(arr)
-    last = arr[:, -1:]
-    first = arr[:, :1]
+def _ext_cumsum(arr: np.ndarray, pad: int, axis: int) -> np.ndarray:
+    """Cumulative sum of ``arr`` clamp-extended by ``pad`` along ``axis``.
+
+    The result has length ``n + 2 * pad + 1`` along ``axis``; index
+    ``pad + 1 + j`` holds I(j) for j in [-pad-1, n+pad-1], so I(-1) = 0
+    sits at index ``pad``.
+    """
+    n = arr.shape[axis]
+    shape = list(arr.shape)
+    shape[axis] = n + 2 * pad + 1
+    ext = np.empty(shape)
+    # work along axis 0 of views; every write lands in ``ext``
+    e = np.moveaxis(ext, axis, 0)
+    a = np.moveaxis(arr, axis, 0)
+    along = (slice(None),) + (None,) * (a.ndim - 1)
+    np.cumsum(a, axis=0, out=e[pad + 1 : pad + 1 + n])
+    # left ramp (j + 1) * f[0] for j = -pad-1 .. -1
+    np.multiply(np.arange(-pad, 1.0)[along], a[0], out=e[: pad + 1])
+    # right ramp I(n-1) + (j - n + 1) * f[n-1] for j = n .. n+pad-1
+    right = e[pad + 1 + n :]
+    np.multiply(np.arange(1, pad + 1.0)[along], a[-1], out=right)
+    right += e[pad + n]
+    return ext
+
+
+def _sum_slices(e: np.ndarray, kernel: SliceKernel, out: np.ndarray):
+    """Set ``out`` to the sum of the slice terms along axis 0 of ``e``,
+    an extended cumulative sum with ``len(out) + 2P + 1`` entries."""
+    n = out.shape[0]
+    pad = kernel.max_radius
+    term = np.empty_like(out)
+    out.fill(0.0)
     for p, w in zip(kernel.radii, kernel.weights):
-        hi_idx = x + p
-        over = np.maximum(hi_idx - (n - 1), 0).astype(np.float64)
-        hi = cum[:, np.minimum(hi_idx, n - 1)] + over * last
-        lo_idx = x - p - 1
-        under = np.minimum(lo_idx + 1, 0).astype(np.float64)
-        lo = np.where(lo_idx < 0, under * first, cum[:, np.maximum(lo_idx, 0)])
-        out += w * (hi - lo)
+        hi, lo = e[pad + 1 + p : pad + 1 + p + n], e[pad - p : pad - p + n]
+        np.subtract(hi, lo, out=term)
+        term *= w
+        out += term
+
+
+def _pass(arr: np.ndarray, kernel: SliceKernel, axis: int, out=None) -> np.ndarray:
+    """Slice-filter ``arr`` along ``axis`` into ``out``, which may be ``arr``."""
+    e = np.moveaxis(_ext_cumsum(arr, kernel.max_radius, axis), axis, 0)
+    out = np.empty_like(arr) if out is None else out
+    _sum_slices(e, kernel, np.moveaxis(out, axis, 0))
     return out
 
 
@@ -70,45 +89,29 @@ def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
     if signal.ndim != 1 or signal.size < 1:
         raise ValueError("need a non-empty 1D signal")
     _check_kernel(kernel, signal.size)
-    return _filter_rows(signal[None, :], kernel)[0]
+    return _pass(signal, kernel, 0)
 
 
-def separable_filter_2d(
-    image, kernel: SliceKernel, parallel: bool = False
-) -> np.ndarray:
-    """Filter a 2D image: slice-filter every row, then every column.
-
-    With ``parallel`` the row (and column) passes are split into independent
-    blocks across a thread pool; results are identical either way.
-    """
+def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
+    """Filter a 2D image: slice-filter every row, then every column."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("need a 2D image")
     h, w = image.shape
     _check_kernel(kernel, w)
     _check_kernel(kernel, h)
-
-    def one_pass(arr):
-        if not parallel or arr.shape[0] < 64:
-            return _filter_rows(arr, kernel)
-        blocks = np.array_split(np.arange(arr.shape[0]), 4)
-        out = np.empty_like(arr)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for idx, res in zip(
-                blocks, pool.map(lambda i: _filter_rows(arr[i], kernel), blocks)
-            ):
-                out[idx] = res
-        return out
-
-    rows = one_pass(image)
-    return one_pass(rows.T).T
+    rows = _pass(image, kernel, 1)
+    # Writing the column pass over the row pass's output saves an
+    # image-sized buffer; with it, repeated calls at changing sigma stopped
+    # faulting in fresh pages.
+    return _pass(rows, kernel, 0, out=rows)
 
 
 def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
     """Evaluate the separable filter at selected (x, y) points only.
 
-    Row cumulative sums are shared across points; the row-filtered values
-    are evaluated only at the requested columns, then each touched column
+    The row cumulative sums are built once; the row-filtered values are
+    read from them only at the requested columns, then each touched column
     is slice-filtered once.  Values are identical to the corresponding
     pixels of :func:`separable_filter_2d`.
     """
@@ -123,26 +126,11 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
         if not (0 <= x < w and 0 <= y < h):
             raise ValueError(f"point ({x}, {y}) outside {w}x{h} image")
 
-    cum = np.cumsum(image, axis=1)
-    last = image[:, -1]
-    first = image[:, 0]
-
-    def row_filtered_column(x: int) -> np.ndarray:
-        # same arithmetic as _filter_rows, restricted to one output column
-        out = np.zeros(h)
-        for p, wgt in zip(kernel.radii, kernel.weights):
-            hi_idx = x + p
-            over = float(max(hi_idx - (w - 1), 0))
-            hi = cum[:, min(hi_idx, w - 1)] + over * last
-            lo_idx = x - p - 1
-            if lo_idx < 0:
-                lo = float(min(lo_idx + 1, 0)) * first
-            else:
-                lo = cum[:, lo_idx]
-            out += wgt * (hi - lo)
-        return out
-
+    pad = kernel.max_radius
+    e = np.moveaxis(_ext_cumsum(image, pad, 1), 1, 0)
     columns = {}
     for x in sorted({x for x, _ in pts}):
-        columns[x] = _filter_rows(row_filtered_column(x)[None, :], kernel)[0]
+        row_filtered = np.empty((1, h))
+        _sum_slices(e[x : x + 2 * pad + 2], kernel, row_filtered)
+        columns[x] = _pass(row_filtered[0], kernel, 0)
     return np.array([columns[x][y] for x, y in pts])

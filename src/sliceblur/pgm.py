@@ -1,9 +1,9 @@
 """Binary PGM (P5) grayscale image I/O.
 
 Pixels map linearly to [0, 1] floats on read; writing quantizes with
-round-to-nearest.  Both 8-bit and 16-bit (big-endian) maxvals are
-supported.  Headers are written in a fixed form so equal images produce
-byte-identical files.
+round-to-nearest and rejects NaN and infinite pixels.  Both 8-bit and
+16-bit (big-endian) maxvals are supported.  Headers are written in a fixed
+form so equal images produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ def write_pgm(path, image, maxval: int = 255):
         raise ValueError("need a 2D image")
     if not (0 < maxval < 65536):
         raise ValueError(f"bad maxval {maxval}")
+    bad = image.size - np.count_nonzero(np.isfinite(image))
+    if bad:
+        raise ValueError(f"cannot quantize {bad} non-finite pixel(s) (NaN or inf)")
     q = np.rint(np.clip(image, 0.0, 1.0) * maxval)
     dtype = np.dtype(">u2") if maxval > 255 else np.uint8
     h, w = image.shape

@@ -53,6 +53,16 @@ class TestPgm:
         with pytest.raises(ValueError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_non_finite(self, tmp_path, bad):
+        img = np.full((4, 5), 0.5)
+        img[1, 2] = bad
+        img[3, 0] = np.nan
+        path = tmp_path / "n.pgm"
+        with pytest.raises(ValueError, match=r"\b2 non-finite"):
+            write_pgm(path, img)
+        assert not path.exists()
+
 
 class TestParamsFile:
     def test_roundtrip(self, tmp_path):

@@ -7,7 +7,6 @@ from sliceblur.approx import Partition, SliceKernel, scale_to_sigma, table_defau
 from sliceblur.filtering import (
     KernelTooLargeError,
     filter_at,
-    prefix_sum,
     separable_filter_2d,
     slice_filter_1d,
 )
@@ -37,30 +36,6 @@ def dense_separable_2d(image, dense_kernel):
     return np.apply_along_axis(
         lambda c: direct_convolve_1d(c, dense_kernel), 0, rows
     )
-
-
-class TestPrefixSum:
-    def test_small(self):
-        np.testing.assert_array_equal(prefix_sum([1, 2, 3]), [1, 3, 6])
-
-    def test_constant(self):
-        c = 0.25
-        got = prefix_sum([c] * 8)
-        np.testing.assert_allclose(got, c * np.arange(1, 9), rtol=1e-15)
-
-    def test_naive_summation_oracle(self):
-        rng = np.random.default_rng(0)
-        sig = rng.standard_normal(100)
-        got = prefix_sum(sig)
-        for x in range(100):
-            acc = 0.0
-            for xp in range(x + 1):
-                acc += sig[xp]
-            assert got[x] == pytest.approx(acc, abs=1e-12)
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            prefix_sum([])
 
 
 class TestSliceFilter1D:
@@ -186,14 +161,6 @@ class TestSeparableFilter2D:
         assert np.abs(rows_then_cols - oracle).max() <= 1e-10
         assert np.abs(cols_then_rows - oracle).max() <= 1e-10
 
-    def test_parallel_identical(self):
-        rng = np.random.default_rng(31)
-        img = rng.random((128, 96))
-        kern = table_kernel(3, 5.0)
-        serial = separable_filter_2d(img, kern)
-        parallel = separable_filter_2d(img, kern, parallel=True)
-        np.testing.assert_array_equal(serial, parallel)
-
     def test_kernel_too_large_either_dim(self):
         kern = table_kernel(3, 20.0)  # max radius 47
         with pytest.raises(KernelTooLargeError):
@@ -233,3 +200,60 @@ class TestFilterAt:
             filter_at(img, table_kernel(3, 1.0), [(16, 0)])
         with pytest.raises(ValueError):
             filter_at(img, table_kernel(3, 1.0), [(0, -1)])
+
+
+def _slice_kernels(st, max_radius):
+    """Strategy: random unit-gain slice kernels with radii <= max_radius."""
+    return st.tuples(
+        st.lists(
+            st.integers(0, max_radius), min_size=1, max_size=5, unique=True
+        ).map(sorted),
+        st.lists(st.floats(0.1, 1.0), min_size=5, max_size=5),
+    ).map(lambda rw: SliceKernel(rw[0], rw[1][: len(rw[0])]).normalized())
+
+
+class TestProperties:
+    """Fast paths against dense oracles on drawn shapes and kernels."""
+
+    def test_2d_matches_dense_and_filter_at_is_exact(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(derandomize=True, max_examples=80, deadline=None)
+        @hyp.given(data=st.data())
+        def check(data):
+            h = data.draw(st.integers(1, 64), label="h")
+            w = data.draw(st.integers(1, 64), label="w")
+            kern = data.draw(_slice_kernels(st, min(h, w) - 1), label="kernel")
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            img = np.random.default_rng(seed).random((h, w))
+            fast = separable_filter_2d(img, kern)
+            assert np.abs(fast - dense_separable_2d(img, kern.dense())).max() <= 1e-10
+            pts = data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+                    min_size=1, max_size=8,
+                ),
+                label="points",
+            )
+            got = filter_at(img, kern, pts)
+            np.testing.assert_array_equal(got, [fast[y, x] for x, y in pts])
+
+        check()
+
+    def test_1d_matches_dense_from_length_1(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(derandomize=True, max_examples=150, deadline=None)
+        @hyp.given(data=st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 200), label="n")
+            kern = data.draw(_slice_kernels(st, n - 1), label="kernel")
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            sig = np.random.default_rng(seed).random(n)
+            fast = slice_filter_1d(sig, kern)
+            dense = direct_convolve_1d(sig, kern.dense(), "replicate")
+            assert np.abs(fast - dense).max() <= 1e-10
+
+        check()
