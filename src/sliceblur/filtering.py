@@ -7,11 +7,32 @@ Each output sample is
 where I is the cumulative sum of the input, so the cost per sample is
 2k additions and k multiplications regardless of the kernel width.
 
-Boundaries use replicate (clamp) padding.  Each pass builds I once for
-j in [-P-1, n+P-1], P the largest slice radius: the plain cumulative sum
-in the middle, and the analytic ramps I(j) = (j + 1) * f[0] for j < 0 and
-I(j) = I(n-1) + (j - n + 1) * f[n-1] for j >= n.  Every slice term is then
-the difference of two contiguous views of it.  All arithmetic is float64.
+Boundaries use replicate (clamp) padding.  Each pass builds I for j in
+[-P-1, n+P-1], P the largest slice radius: the plain cumulative sum in the
+middle, and the analytic ramps I(j) = (j + 1) * f[0] for j < 0 and
+I(j) = I(n-1) + (j - n + 1) * f[n-1] for j >= n (``_fill_ramps``, the only
+code that knows the boundary).  Every slice term is then the difference of
+two contiguous views of it.  All arithmetic is float64.
+
+Both passes stream through blocks of about ``_BLOCK`` values, so that a
+block's running sum, its slice terms and its output stay in the L2 cache:
+
+* The row pass takes the rows a block at a time, writes the block's
+  extended cumulative sum into one reused buffer and sums its slice terms
+  into the output rows.  The number of rows per block depends on the image
+  width only, so the number of blocks does not change with sigma.
+* The column pass needs I down every column.  ``separable_filter_2d``
+  writes the row pass's output into the middle of an image-sized extended
+  buffer and builds I there in place, adding each row's running sum into
+  the next row.  These are the additions of ``np.cumsum(axis=0)``, in the
+  same order, but each is one contiguous row add, where ``np.cumsum``
+  walks every column with a whole row's stride and is several times
+  slower.  The column slice terms are then summed into the output a block
+  of rows at a time.
+
+``filter_at`` runs the same row blocks but keeps the row-filtered values
+only at the probed columns, then filters those columns as the rows of
+their transpose, so it needs no image-sized buffer.
 """
 
 from __future__ import annotations
@@ -21,6 +42,9 @@ import numpy as np
 from .approx import SliceKernel
 
 _DC_TOL = 1e-6
+# float64 values per block (256 KiB): a block with its running sum and its
+# slice-term scratch stays in a 1-2 MiB L2 cache
+_BLOCK = 1 << 15
 
 
 class KernelTooLargeError(ValueError):
@@ -36,51 +60,63 @@ def _check_kernel(kernel: SliceKernel, n: int):
         raise ValueError("kernel must have unit DC gain; call normalized()")
 
 
-def _ext_cumsum(arr: np.ndarray, pad: int, axis: int) -> np.ndarray:
-    """Cumulative sum of ``arr`` clamp-extended by ``pad`` along ``axis``.
+def _block_rows(h: int, n: int) -> int:
+    """Rows per block of an ``h`` x ``n`` array."""
+    return max(1, min(h, _BLOCK // n))
 
-    The result has length ``n + 2 * pad + 1`` along ``axis``; index
-    ``pad + 1 + j`` holds I(j) for j in [-pad-1, n+pad-1], so I(-1) = 0
-    sits at index ``pad``.
+
+def _fill_ramps(e: np.ndarray, first, last, pad: int):
+    """Fill the clamp-extension ramps of ``e``, an extended cumulative sum
+    along axis 0 with ``n + 2 * pad + 1`` entries.
+
+    Index ``pad + 1 + j`` holds I(j), so I(-1) = 0 sits at index ``pad``;
+    ``e[pad + 1 : pad + 1 + n]`` must already hold I(0) .. I(n-1), and
+    ``first`` and ``last`` are the signal's samples f[0] and f[n-1].
     """
-    n = arr.shape[axis]
-    shape = list(arr.shape)
-    shape[axis] = n + 2 * pad + 1
-    ext = np.empty(shape)
-    # work along axis 0 of views; every write lands in ``ext``
-    e = np.moveaxis(ext, axis, 0)
-    a = np.moveaxis(arr, axis, 0)
-    along = (slice(None),) + (None,) * (a.ndim - 1)
-    np.cumsum(a, axis=0, out=e[pad + 1 : pad + 1 + n])
+    n = e.shape[0] - 2 * pad - 1
+    along = (slice(None),) + (None,) * (e.ndim - 1)
     # left ramp (j + 1) * f[0] for j = -pad-1 .. -1
-    np.multiply(np.arange(-pad, 1.0)[along], a[0], out=e[: pad + 1])
+    np.multiply(np.arange(-pad, 1.0)[along], first, out=e[: pad + 1])
     # right ramp I(n-1) + (j - n + 1) * f[n-1] for j = n .. n+pad-1
     right = e[pad + 1 + n :]
-    np.multiply(np.arange(1, pad + 1.0)[along], a[-1], out=right)
+    np.multiply(np.arange(1, pad + 1.0)[along], last, out=right)
     right += e[pad + n]
-    return ext
 
 
-def _sum_slices(e: np.ndarray, kernel: SliceKernel, out: np.ndarray):
-    """Set ``out`` to the sum of the slice terms along axis 0 of ``e``,
-    an extended cumulative sum with ``len(out) + 2P + 1`` entries."""
-    n = out.shape[0]
+def _sum_slices(window, kernel: SliceKernel, out: np.ndarray, term: np.ndarray):
+    """Set ``out`` to the sum of the slice terms, where ``window(i)`` is the
+    block of the extended cumulative sum that starts at index ``i`` and has
+    the shape of ``out``; ``term`` is scratch of that shape."""
     pad = kernel.max_radius
-    term = np.empty_like(out)
     out.fill(0.0)
     for p, w in zip(kernel.radii, kernel.weights):
-        hi, lo = e[pad + 1 + p : pad + 1 + p + n], e[pad - p : pad - p + n]
-        np.subtract(hi, lo, out=term)
+        np.subtract(window(pad + 1 + p), window(pad - p), out=term)
         term *= w
         out += term
 
 
-def _pass(arr: np.ndarray, kernel: SliceKernel, axis: int, out=None) -> np.ndarray:
-    """Slice-filter ``arr`` along ``axis`` into ``out``, which may be ``arr``."""
-    e = np.moveaxis(_ext_cumsum(arr, kernel.max_radius, axis), axis, 0)
-    out = np.empty_like(arr) if out is None else out
-    _sum_slices(e, kernel, np.moveaxis(out, axis, 0))
-    return out
+def _row_blocks(a: np.ndarray, pad: int):
+    """Yield ``(rows, e)`` for consecutive blocks of rows of the 2D ``a``:
+    the slice of rows, and their cumulative sum along axis 1, clamp-extended
+    by ``pad``.  ``e`` is one buffer, overwritten for every block."""
+    h, n = a.shape
+    step = _block_rows(h, n)
+    buf = np.empty((step, n + 2 * pad + 1))
+    for r0 in range(0, h, step):
+        block = a[r0 : r0 + step]
+        e = buf[: len(block)]
+        np.cumsum(block, axis=1, out=e[:, pad + 1 : pad + 1 + n])
+        _fill_ramps(e.T, block[:, 0], block[:, -1], pad)
+        yield slice(r0, r0 + len(block)), e
+
+
+def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray):
+    """Slice-filter every row of the 2D ``a`` into ``out``."""
+    h, n = a.shape
+    term = np.empty((_block_rows(h, n), n))
+    for rows, e in _row_blocks(a, kernel.max_radius):
+        o = out[rows]
+        _sum_slices(lambda i: e[:, i : i + n], kernel, o, term[: len(o)])
 
 
 def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
@@ -89,7 +125,9 @@ def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
     if signal.ndim != 1 or signal.size < 1:
         raise ValueError("need a non-empty 1D signal")
     _check_kernel(kernel, signal.size)
-    return _pass(signal, kernel, 0)
+    out = np.empty_like(signal)
+    _row_pass(signal[None, :], kernel, out[None, :])
+    return out
 
 
 def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
@@ -100,20 +138,37 @@ def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
     h, w = image.shape
     _check_kernel(kernel, w)
     _check_kernel(kernel, h)
-    rows = _pass(image, kernel, 1)
-    # Writing the column pass over the row pass's output saves an
-    # image-sized buffer; with it, repeated calls at changing sigma stopped
-    # faulting in fresh pages.
-    return _pass(rows, kernel, 0, out=rows)
+    pad = kernel.max_radius
+
+    # the column pass's extended cumulative sum; the row pass fills its middle
+    ext = np.empty((h + 2 * pad + 1, w))
+    mid = ext[pad + 1 : pad + 1 + h]
+    _row_pass(image, kernel, mid)
+    last = mid[-1].copy()
+    # I down the columns, one contiguous row add per row
+    prev = mid[0]
+    for cur in mid[1:]:
+        cur += prev
+        prev = cur
+    _fill_ramps(ext, mid[0], last, pad)
+
+    out = np.empty_like(image)
+    step = _block_rows(h, w)
+    term = np.empty((step, w))
+    for r0 in range(0, h, step):
+        o = out[r0 : r0 + step]
+        nb = len(o)
+        _sum_slices(lambda i: ext[r0 + i : r0 + i + nb], kernel, o, term[:nb])
+    return out
 
 
 def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
     """Evaluate the separable filter at selected (x, y) points only.
 
-    The row cumulative sums are built once; the row-filtered values are
-    read from them only at the requested columns, then each touched column
-    is slice-filtered once.  Values are identical to the corresponding
-    pixels of :func:`separable_filter_2d`.
+    The rows are slice-filtered a block at a time, keeping only the
+    requested columns; those columns are then slice-filtered together as
+    the rows of their transpose.  Values are identical to the
+    corresponding pixels of :func:`separable_filter_2d`.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
@@ -126,11 +181,13 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
         if not (0 <= x < w and 0 <= y < h):
             raise ValueError(f"point ({x}, {y}) outside {w}x{h} image")
 
-    pad = kernel.max_radius
-    e = np.moveaxis(_ext_cumsum(image, pad, 1), 1, 0)
-    columns = {}
-    for x in sorted({x for x, _ in pts}):
-        row_filtered = np.empty((1, h))
-        _sum_slices(e[x : x + 2 * pad + 2], kernel, row_filtered)
-        columns[x] = _pass(row_filtered[0], kernel, 0)
-    return np.array([columns[x][y] for x, y in pts])
+    xs = np.array(sorted({x for x, _ in pts}), dtype=np.intp)
+    cols = np.empty((h, xs.size))
+    term = np.empty((_block_rows(h, w), xs.size))
+    for rows, e in _row_blocks(image, kernel.max_radius):
+        c = cols[rows]
+        _sum_slices(lambda i: e[:, xs + i], kernel, c, term[: len(c)])
+    columns = np.ascontiguousarray(cols.T)
+    _row_pass(columns, kernel, columns)
+    index = {x: i for i, x in enumerate(xs.tolist())}
+    return np.array([columns[index[x], y] for x, y in pts])

@@ -51,7 +51,7 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     raw = np.frombuffer(data, dtype=dtype, count=count, offset=end + 1)
     if raw.size != count:
         raise ValueError(f"{path}: truncated pixel data")
-    image = raw.reshape(height, width).astype(np.float64) / maxval
+    image = np.divide(raw.reshape(height, width), maxval, dtype=np.float64)
     return image, maxval
 
 
@@ -62,12 +62,15 @@ def write_pgm(path, image, maxval: int = 255):
         raise ValueError("need a 2D image")
     if not (0 < maxval < 65536):
         raise ValueError(f"bad maxval {maxval}")
+    # checked on the input: clip would map +-inf to 1 and 0
     bad = image.size - np.count_nonzero(np.isfinite(image))
     if bad:
         raise ValueError(f"cannot quantize {bad} non-finite pixel(s) (NaN or inf)")
-    q = np.rint(np.clip(image, 0.0, 1.0) * maxval)
+    q = np.clip(image, 0.0, 1.0, out=np.empty(image.shape))
+    q *= maxval
+    np.rint(q, out=q)
     dtype = np.dtype(">u2") if maxval > 255 else np.uint8
     h, w = image.shape
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n%d\n" % (w, h, maxval))
-        fh.write(q.astype(dtype).tobytes())
+        fh.write(q.astype(dtype))

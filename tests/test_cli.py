@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sliceblur import approx, oracle
-from sliceblur.cli import CSV_HEADER, main
+from sliceblur.cli import CSV_HEADER, build_parser, main
 from sliceblur.filtering import separable_filter_2d
 from sliceblur.params import FilterParams, load_params, save_params
 from sliceblur.pgm import read_pgm, write_pgm
@@ -62,6 +62,13 @@ class TestPgm:
         with pytest.raises(ValueError, match=r"\b2 non-finite"):
             write_pgm(path, img)
         assert not path.exists()
+
+    def test_write_non_contiguous(self, tmp_path):
+        img = np.random.default_rng(2).random((9, 14)).T
+        a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+        write_pgm(a, img)
+        write_pgm(b, np.ascontiguousarray(img))
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestParamsFile:
@@ -179,6 +186,27 @@ class TestFilterCommand:
         main(["synth", "constant", str(src), "--width", "32", "--height", "32"])
         rc = main(["filter", str(src), str(tmp_path / "o.pgm"), "--sigma", "50"])
         assert rc == 2
+
+
+class TestMain:
+    def test_calls_share_no_state(self, tmp_path, capsys):
+        src = tmp_path / "n.pgm"
+        write_pgm(src, np.random.default_rng(6).random((48, 48)))
+        pfile = tmp_path / "p.txt"
+        assert main(["optimize", "--k", "2", "--params", str(pfile),
+                     "--samples", "20"]) == 0
+        outs = [tmp_path / f"o{i}.pgm" for i in range(3)]
+        assert main(["filter", str(src), str(outs[0]), "--sigma", "3"]) == 0
+        assert main(["filter", str(src), str(outs[1]), "--sigma", "3",
+                     "--k", "5", "--params", str(pfile)]) == 0
+        assert main(["psnr", str(src), str(src)]) == 0
+        assert main(["filter", str(src), str(outs[2]), "--sigma", "3"]) == 0
+        assert outs[1].read_bytes() != outs[0].read_bytes()
+        assert outs[2].read_bytes() == outs[0].read_bytes()
+        assert capsys.readouterr().out.strip() == "inf"
+
+    def test_build_parser_is_fresh(self):
+        assert build_parser() is not build_parser()
 
 
 class TestOptimizeCommand:

@@ -1,8 +1,11 @@
 """Tests for the running-sum slice filter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sliceblur import filtering
 from sliceblur.approx import Partition, SliceKernel, scale_to_sigma, table_defaults, to_slices
 from sliceblur.filtering import (
     KernelTooLargeError,
@@ -11,6 +14,7 @@ from sliceblur.filtering import (
     slice_filter_1d,
 )
 from sliceblur.oracle import direct_convolve_1d
+from sliceblur.synth import make_image
 
 
 def table_kernel(k=3, sigma=4.0):
@@ -194,6 +198,16 @@ class TestFilterAt:
         for value, (x, y) in zip(got, pts):
             assert value == full[y, x]  # bit-exact
 
+    def test_duplicates_and_corners_keep_order(self):
+        rng = np.random.default_rng(43)
+        img = rng.random((20, 31))
+        kern = table_kernel(3, 2.0)
+        full = separable_filter_2d(img, kern)
+        pts = [(30, 19), (5, 3), (0, 0), (5, 3), (5, 17), (0, 19), (30, 0),
+               (5, 3), (0, 0), (12, 19)]
+        got = filter_at(img, kern, pts)
+        np.testing.assert_array_equal(got, [full[y, x] for x, y in pts])
+
     def test_out_of_bounds(self):
         img = np.zeros((16, 16))
         with pytest.raises(ValueError):
@@ -257,3 +271,44 @@ class TestProperties:
             assert np.abs(fast - dense).max() <= 1e-10
 
         check()
+
+    # 40 float64 values per block: every row wider than 20 is a block of its
+    # own, and narrower images span blocks of several rows with a partial
+    # last block.
+    def test_2d_with_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(filtering, "_BLOCK", 40)
+        self.test_2d_matches_dense_and_filter_at_is_exact()
+
+    def test_1d_with_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(filtering, "_BLOCK", 40)
+        self.test_1d_matches_dense_from_length_1()
+
+
+class TestMemory:
+    """Peak traced allocation of one call at 1024^2, sigma 50."""
+
+    @pytest.fixture(scope="class")
+    def image(self):
+        return make_image("one-over-f", 1024, 1024, seed=3)
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_separable_filter_2d(self, image):
+        kern = table_kernel(3, 50.0)
+        peak = self._peak(lambda: separable_filter_2d(image, kern))
+        # the output and the extended column running sum, (h + 2P + 1) rows
+        assert peak < 2.5 * image.nbytes
+
+    def test_filter_at(self, image):
+        kern = table_kernel(3, 50.0)
+        rng = np.random.default_rng(8)
+        pts = [(int(x), int(y)) for x, y in rng.integers(0, 1024, size=(64, 2))]
+        peak = self._peak(lambda: filter_at(image, kern, pts))
+        assert peak < 0.5 * image.nbytes
