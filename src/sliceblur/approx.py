@@ -362,9 +362,14 @@ def scale_to_sigma(base: SliceKernel, sigma: float) -> SliceKernel:
             "all radii collapsed to 0; convolve directly with a small kernel"
         )
     new_w = base.radii / (2.0 * new_p + 1.0) * base.weights
-    radii, inverse = np.unique(new_p, return_inverse=True)
-    weights = np.zeros(radii.size)
-    np.add.at(weights, inverse, new_w)
+    # the floored radii are non-decreasing, so colliding ones are adjacent;
+    # each group sums from 0.0 in index order
+    radii, weights = [], []
+    for p, w in zip(new_p.tolist(), new_w.tolist()):
+        if not radii or radii[-1] != p:
+            radii.append(p)
+            weights.append(0.0)
+        weights[-1] += w
     return SliceKernel(radii, weights, sigma).normalized()
 
 

@@ -59,13 +59,21 @@ class BenchRecord:
         ]
 
 
+@functools.cache
+def _builtin_base(k: int) -> approx.SliceKernel:
+    # shared by every call, so made read-only; scale_to_sigma only reads it
+    base = approx.to_slices(*approx.table_defaults(k))
+    base.radii.flags.writeable = False
+    base.weights.flags.writeable = False
+    return base
+
+
 def _scaled_kernel(k: int, sigma: float, params_path=None) -> approx.SliceKernel:
     if params_path is not None:
         loaded = params.load_params(params_path)
         base = approx.to_slices(loaded.partition, loaded.sigma0)
     else:
-        partition, sigma0 = approx.table_defaults(k)
-        base = approx.to_slices(partition, sigma0)
+        base = _builtin_base(k)
     return approx.scale_to_sigma(base, sigma)
 
 

@@ -12,15 +12,19 @@ Boundaries use replicate (clamp) padding.  Each pass builds I for j in
 middle, and the analytic ramps I(j) = (j + 1) * f[0] for j < 0 and
 I(j) = I(n-1) + (j - n + 1) * f[n-1] for j >= n (``_fill_ramps``, the only
 code that knows the boundary).  Every slice term is then the difference of
-two contiguous views of it.  All arithmetic is float64.
+two contiguous views of it.  All arithmetic is float64, in buffers that
+start on a cache line (``_empty``).
 
 Both passes stream through blocks of about ``_BLOCK`` values, so that a
 block's running sum, its slice terms and its output stay in the L2 cache:
 
 * The row pass takes the rows a block at a time, writes the block's
   extended cumulative sum into one reused buffer and sums its slice terms
-  into the output rows.  The number of rows per block depends on the image
-  width only, so the number of blocks does not change with sigma.
+  into the output rows.  The first term is written straight into them,
+  so a block takes 3k - 1 whole-block passes (k subtractions, k
+  multiplications, k - 1 accumulations) and no zero fill.  The number of
+  rows per block depends on the image width only, so the number of blocks
+  does not change with sigma.
 * The column pass needs I down every column.  ``separable_filter_2d``
   writes the row pass's output into the middle of an image-sized extended
   buffer and builds I there in place, adding each row's running sum into
@@ -28,14 +32,18 @@ block's running sum, its slice terms and its output stay in the L2 cache:
   same order, but each is one contiguous row add, where ``np.cumsum``
   walks every column with a whole row's stride and is several times
   slower.  The column slice terms are then summed into the output a block
-  of rows at a time.
+  of rows at a time, the same way.
 
 ``filter_at`` runs the same row blocks but keeps the row-filtered values
-only at the probed columns, then filters those columns as the rows of
-their transpose, so it needs no image-sized buffer.
+only at the probed columns: per block, one ``np.take`` gathers the 2k
+running-sum columns every probed column's slice terms read into a reused
+buffer, and the terms are views of it.  It then filters those columns as
+the rows of their transpose, so it needs no image-sized buffer.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,6 +66,18 @@ def _check_kernel(kernel: SliceKernel, n: int):
         )
     if abs(kernel.dc_gain - 1.0) > _DC_TOL:
         raise ValueError("kernel must have unit DC gain; call normalized()")
+
+
+def _empty(shape) -> np.ndarray:
+    """An uninitialised float64 array whose data starts on a 64-byte (cache
+    line) boundary.  ``np.empty`` data is only 16-byte aligned under glibc's
+    malloc; vector stores into a block that starts off a line straddle two
+    lines, and a subtraction into an L2-resident block ran about half as
+    fast."""
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    start = (-raw.ctypes.data // 8) % 8
+    return raw[start : start + size].reshape(shape)
 
 
 def _block_rows(h: int, n: int) -> int:
@@ -88,8 +108,10 @@ def _sum_slices(window, kernel: SliceKernel, out: np.ndarray, term: np.ndarray):
     block of the extended cumulative sum that starts at index ``i`` and has
     the shape of ``out``; ``term`` is scratch of that shape."""
     pad = kernel.max_radius
-    out.fill(0.0)
-    for p, w in zip(kernel.radii, kernel.weights):
+    (p, w), *rest = zip(kernel.radii.tolist(), kernel.weights.tolist())
+    np.subtract(window(pad + 1 + p), window(pad - p), out=out)
+    out *= w
+    for p, w in rest:
         np.subtract(window(pad + 1 + p), window(pad - p), out=term)
         term *= w
         out += term
@@ -101,7 +123,7 @@ def _row_blocks(a: np.ndarray, pad: int):
     by ``pad``.  ``e`` is one buffer, overwritten for every block."""
     h, n = a.shape
     step = _block_rows(h, n)
-    buf = np.empty((step, n + 2 * pad + 1))
+    buf = _empty((step, n + 2 * pad + 1))
     for r0 in range(0, h, step):
         block = a[r0 : r0 + step]
         e = buf[: len(block)]
@@ -113,7 +135,7 @@ def _row_blocks(a: np.ndarray, pad: int):
 def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray):
     """Slice-filter every row of the 2D ``a`` into ``out``."""
     h, n = a.shape
-    term = np.empty((_block_rows(h, n), n))
+    term = _empty((_block_rows(h, n), n))
     for rows, e in _row_blocks(a, kernel.max_radius):
         o = out[rows]
         _sum_slices(lambda i: e[:, i : i + n], kernel, o, term[: len(o)])
@@ -125,7 +147,7 @@ def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
     if signal.ndim != 1 or signal.size < 1:
         raise ValueError("need a non-empty 1D signal")
     _check_kernel(kernel, signal.size)
-    out = np.empty_like(signal)
+    out = _empty(signal.shape)
     _row_pass(signal[None, :], kernel, out[None, :])
     return out
 
@@ -141,7 +163,7 @@ def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
     pad = kernel.max_radius
 
     # the column pass's extended cumulative sum; the row pass fills its middle
-    ext = np.empty((h + 2 * pad + 1, w))
+    ext = _empty((h + 2 * pad + 1, w))
     mid = ext[pad + 1 : pad + 1 + h]
     _row_pass(image, kernel, mid)
     last = mid[-1].copy()
@@ -152,9 +174,9 @@ def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
         prev = cur
     _fill_ramps(ext, mid[0], last, pad)
 
-    out = np.empty_like(image)
+    out = _empty(image.shape)
     step = _block_rows(h, w)
-    term = np.empty((step, w))
+    term = _empty((step, w))
     for r0 in range(0, h, step):
         o = out[r0 : r0 + step]
         nb = len(o)
@@ -182,11 +204,22 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
             raise ValueError(f"point ({x}, {y}) outside {w}x{h} image")
 
     xs = np.array(sorted({x for x, _ in pts}), dtype=np.intp)
-    cols = np.empty((h, xs.size))
-    term = np.empty((_block_rows(h, w), xs.size))
-    for rows, e in _row_blocks(image, kernel.max_radius):
+    pad = kernel.max_radius
+    # the window starts of every slice term, and the running-sum columns
+    # they read at the probed columns, gathered once per block
+    starts = [i for p in kernel.radii.tolist() for i in (pad + 1 + p, pad - p)]
+    slot = {i: j for j, i in enumerate(starts)}
+    idx = np.add.outer(starts, xs)
+    step = _block_rows(h, w)
+    gathered = _empty((step,) + idx.shape)
+    cols = _empty((h, xs.size))
+    term = _empty((step, xs.size))
+    for rows, e in _row_blocks(image, pad):
         c = cols[rows]
-        _sum_slices(lambda i: e[:, xs + i], kernel, c, term[: len(c)])
+        g = gathered[: len(c)]
+        # every index is in range; mode="raise" would buffer the output
+        np.take(e, idx, axis=1, out=g, mode="clip")
+        _sum_slices(lambda i: g[:, slot[i]], kernel, c, term[: len(c)])
     columns = np.ascontiguousarray(cols.T)
     _row_pass(columns, kernel, columns)
     index = {x: i for i, x in enumerate(xs.tolist())}

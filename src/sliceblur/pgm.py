@@ -8,6 +8,8 @@ form so equal images produce byte-identical files.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -62,13 +64,21 @@ def write_pgm(path, image, maxval: int = 255):
         raise ValueError("need a 2D image")
     if not (0 < maxval < 65536):
         raise ValueError(f"bad maxval {maxval}")
-    # checked on the input: clip would map +-inf to 1 and 0
-    bad = image.size - np.count_nonzero(np.isfinite(image))
-    if bad:
-        raise ValueError(f"cannot quantize {bad} non-finite pixel(s) (NaN or inf)")
-    q = np.clip(image, 0.0, 1.0, out=np.empty(image.shape))
-    q *= maxval
+    # Round first, then bound: rint(x * maxval) is rint(clip(x, 0, 1) * maxval)
+    # for x in [0, 1], and clipping the rounded value to [0, maxval] gives the
+    # same integer for x outside it, so in-range images need no clip pass.  A
+    # huge finite pixel overflows the multiply to an infinity of its own sign,
+    # which the clip also maps to maxval or 0.
+    with np.errstate(over="ignore"):
+        q = np.multiply(image, maxval, out=np.empty(image.shape))
     np.rint(q, out=q)
+    lo, hi = float(q.min()), float(q.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        bad = image.size - np.count_nonzero(np.isfinite(image))
+        if bad:
+            raise ValueError(f"cannot quantize {bad} non-finite pixel(s) (NaN or inf)")
+    if lo < 0.0 or hi > maxval:
+        np.clip(q, 0.0, maxval, out=q)
     dtype = np.dtype(">u2") if maxval > 255 else np.uint8
     h, w = image.shape
     with open(path, "wb") as fh:

@@ -342,6 +342,25 @@ class TestScaleToSigma:
         assert scaled.radii.tolist() == [1]
         assert abs(scaled.dc_gain - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_merge_matches_unique_add_at(self, k):
+        # reference: group the floored radii with np.unique and sum each
+        # group's weights with np.add.at; sigma 0.5-3 makes radii collide
+        base = self._base(k)
+        collided = 0
+        for sigma in np.concatenate([np.linspace(0.5, 3.0, 51), [4.5, 12.0, 50.0]]):
+            new_p = np.floor(sigma / base.sigma * base.radii).astype(np.int64)
+            new_w = base.radii / (2.0 * new_p + 1.0) * base.weights
+            radii, inverse = np.unique(new_p, return_inverse=True)
+            weights = np.zeros(radii.size)
+            np.add.at(weights, inverse, new_w)
+            ref = SliceKernel(radii, weights, sigma).normalized()
+            got = scale_to_sigma(base, sigma)
+            assert got.radii.tobytes() == ref.radii.tobytes()
+            assert got.weights.tobytes() == ref.weights.tobytes()
+            collided += radii.size < k
+        assert collided > 0
+
     def test_degenerate_scale(self):
         base = to_slices(Partition((4, 5), (1.0, 0.5)), 10.0)
         with pytest.raises(DegenerateScaleError):

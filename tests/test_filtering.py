@@ -165,6 +165,15 @@ class TestSeparableFilter2D:
         assert np.abs(rows_then_cols - oracle).max() <= 1e-10
         assert np.abs(cols_then_rows - oracle).max() <= 1e-10
 
+    def test_negative_zero_image(self):
+        # the first slice term is written into the output rather than added
+        # to a zero fill, so the zeros may keep their sign; they are zeros
+        img = np.full((20, 30), -0.0)
+        kern = table_kernel(3, 3.0)
+        assert np.all(separable_filter_2d(img, kern) == 0)
+        assert np.all(slice_filter_1d(img[0], kern) == 0)
+        assert np.all(filter_at(img, kern, [(0, 0), (29, 19), (7, 3)]) == 0)
+
     def test_kernel_too_large_either_dim(self):
         kern = table_kernel(3, 20.0)  # max radius 47
         with pytest.raises(KernelTooLargeError):
@@ -282,6 +291,13 @@ class TestProperties:
     def test_1d_with_small_blocks(self, monkeypatch):
         monkeypatch.setattr(filtering, "_BLOCK", 40)
         self.test_1d_matches_dense_from_length_1()
+
+
+@pytest.mark.parametrize("shape", [(1,), (3, 5), (32, 1024), (7, 3, 2)])
+def test_buffers_start_on_a_cache_line(shape):
+    buf = filtering._empty(shape)
+    assert buf.shape == shape and buf.flags.c_contiguous
+    assert buf.ctypes.data % 64 == 0
 
 
 class TestMemory:
