@@ -17,6 +17,7 @@ from .approx import (
     SampledKernel,
     SliceKernel,
     build_autocorr,
+    gaussian_kernel,
     optimal_constants,
     quadratic_error,
     sample_gaussian,
@@ -25,13 +26,9 @@ from .approx import (
     table_defaults,
     to_slices,
 )
-from .filtering import (
-    KernelTooLargeError,
-    filter_at,
-    separable_filter_2d,
-    slice_filter_1d,
-)
+from .filtering import filter_at, separable_filter_2d, slice_filter_1d
 from .oracle import (
+    KernelTooLargeError,
     OpCounter,
     count_ops,
     direct_convolve_1d,
@@ -54,6 +51,7 @@ __all__ = [
     "direct_convolve_1d",
     "exact_gaussian_2d",
     "filter_at",
+    "gaussian_kernel",
     "mse",
     "optimal_constants",
     "psnr",

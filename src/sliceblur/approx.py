@@ -19,6 +19,7 @@ least squares on the kernel itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -131,18 +132,14 @@ class SliceKernel:
 
 @dataclass(frozen=True)
 class AutocorrModel:
-    """Pixel-pair correlation Phi_{-r}..Phi_r and its Toeplitz matrix."""
+    """Toeplitz matrix A[j, k] = Phi_{|j-k|} of the pixel-pair correlation
+    on offsets 0..r."""
 
-    phi: np.ndarray
     matrix: np.ndarray = field(repr=False)
 
     @property
-    def r(self) -> int:
-        return (self.phi.size - 1) // 2
-
-    @property
     def dim(self) -> int:
-        return self.r + 1
+        return self.matrix.shape[0]
 
 
 def sample_gaussian(sigma0: float, n: int) -> SampledKernel:
@@ -176,22 +173,17 @@ def build_autocorr(r: int, dc_value: float = 16.5) -> AutocorrModel:
     spectrum = np.empty(n)
     spectrum[0] = dc_value
     spectrum[1:] = 1.0 / (u[1:] * u[1:])
-    phi_dft = np.fft.ifft(spectrum).real
-    # mirror the non-negative lags so the even symmetry is exact
-    half = phi_dft[: r + 1]
-    phi = np.concatenate([half[:0:-1], half])
+    # the non-negative lags only, so the even symmetry is exact
+    half = np.fft.ifft(spectrum).real[: r + 1]
     idx = np.abs(np.subtract.outer(np.arange(r + 1), np.arange(r + 1)))
-    matrix = half[idx]  # Phi_{|j-k|}, |j-k| <= r
-    return AutocorrModel(phi=phi, matrix=matrix)
+    return AutocorrModel(half[idx])  # Phi_{|j-k|}, |j-k| <= r
 
 
 def identity_model(r: int) -> AutocorrModel:
     """Uncorrelated-pixel model: A = I, so E2 is the plain l2 kernel error."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    phi = np.zeros(2 * r + 1)
-    phi[r] = 1.0
-    return AutocorrModel(phi=phi, matrix=np.eye(r + 1))
+    return AutocorrModel(np.eye(r + 1))
 
 
 def quadratic_error(
@@ -285,8 +277,10 @@ def search_partitions(
 
     Exhaustive over all strictly increasing breakpoint tuples for k <= 3;
     for k in {4, 5} a stride-4 coarse grid is refined by repeated +/-4
-    local sweeps.  Ties break toward the lexicographically smallest tuple,
-    so results are run-to-run identical.
+    local sweeps, unless the grid has fewer than k points (r <= 4(k - 1),
+    at most C(16, 5) = 4368 tuples), where the search is exhaustive again.
+    Ties break toward the lexicographically smallest tuple, so results are
+    run-to-run identical.
     """
     if not 1 <= k <= 5:
         raise ValueError("k must be in [1, 5]")
@@ -304,16 +298,15 @@ def search_partitions(
     q_cum = np.concatenate(([0.0], np.cumsum(q)))
     w_a_w = float(w @ q)
 
-    if k <= 3:
+    grid = range(1, r + 1, 4)
+    if k <= 3 or len(grid) < k:
         combos = np.array(
             list(itertools.combinations(range(1, r + 1), k)), dtype=np.int64
         )
         bp, c, _ = _batch_best(combos, sat, q_cum, w_a_w)
         return Partition(bp, c)
 
-    coarse = np.array(
-        list(itertools.combinations(range(1, r + 1, 4), k)), dtype=np.int64
-    )
+    coarse = np.array(list(itertools.combinations(grid, k)), dtype=np.int64)
     bp, c, e2 = _batch_best(coarse, sat, q_cum, w_a_w)
     offsets = np.array(
         list(itertools.product(range(-4, 5), repeat=k)), dtype=np.int64
@@ -402,3 +395,26 @@ def table_defaults(k: int) -> tuple[Partition, float]:
         Partition(_TABLE_BREAKPOINTS[k], _TABLE_CONSTANTS[k]),
         SIGMA0,
     )
+
+
+@functools.cache
+def _table_base(k: int) -> SliceKernel:
+    # shared by every call, so made read-only; scale_to_sigma only reads it
+    base = to_slices(*table_defaults(k))
+    base.radii.flags.writeable = False
+    base.weights.flags.writeable = False
+    return base
+
+
+def gaussian_kernel(
+    sigma: float, k: int = 3, params: tuple[Partition, float] | None = None
+) -> SliceKernel:
+    """The unit-gain slice kernel that approximates a Gaussian of ``sigma``.
+
+    The builtin k-slice partition (:func:`table_defaults`), or ``params``,
+    a ``(partition, sigma0)`` pair that overrides ``k``, is rescaled to
+    ``sigma`` by :func:`scale_to_sigma`.  Only the sigma-independent
+    builtin slices are kept between calls.
+    """
+    base = _table_base(k) if params is None else to_slices(*params)
+    return scale_to_sigma(base, sigma)

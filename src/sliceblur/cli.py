@@ -59,26 +59,12 @@ class BenchRecord:
         ]
 
 
-@functools.cache
-def _builtin_base(k: int) -> approx.SliceKernel:
-    # shared by every call, so made read-only; scale_to_sigma only reads it
-    base = approx.to_slices(*approx.table_defaults(k))
-    base.radii.flags.writeable = False
-    base.weights.flags.writeable = False
-    return base
-
-
-def _scaled_kernel(k: int, sigma: float, params_path=None) -> approx.SliceKernel:
-    if params_path is not None:
-        loaded = params.load_params(params_path)
-        base = approx.to_slices(loaded.partition, loaded.sigma0)
-    else:
-        base = _builtin_base(k)
-    return approx.scale_to_sigma(base, sigma)
-
-
 def cmd_filter(args) -> int:
-    kernel = _scaled_kernel(args.k, args.sigma, args.params)
+    fitted = None
+    if args.params is not None:
+        loaded = params.load_params(args.params)
+        fitted = (loaded.partition, loaded.sigma0)
+    kernel = approx.gaussian_kernel(args.sigma, args.k, fitted)
     image, maxval = pgm.read_pgm(args.input)
     out = separable_filter_2d(image, kernel)
     pgm.write_pgm(args.output, out, maxval)
@@ -114,11 +100,13 @@ def _median_time_ns(fn, reps: int):
     return int(statistics.median(times)), result
 
 
-def _l2_partitions(ks) -> dict[int, approx.Partition]:
+def _l2_params(ks) -> dict[int, tuple[approx.Partition, float]]:
     n = 100
     target = approx.sample_gaussian(n / math.pi, n)
     model = approx.identity_model(n - 1)
-    return {k: approx.search_partitions(target, k, model) for k in ks}
+    return {
+        k: (approx.search_partitions(target, k, model), target.sigma0) for k in ks
+    }
 
 
 def cmd_bench(args) -> int:
@@ -128,11 +116,10 @@ def cmd_bench(args) -> int:
     if args.reps < 3:
         raise ValueError("need at least 3 repetitions")
     images = [(p.stem, pgm.read_pgm(p)[0]) for p in corpus]
-    l2_parts = _l2_partitions(args.k) if args.l2 else {}
-
-    arms = [("slices-qf", {k: approx.table_defaults(k)[0] for k in args.k})]
+    # per arm, the params of each k (None: the builtin partition)
+    arms = [("slices-qf", dict.fromkeys(args.k))]
     if args.l2:
-        arms.append(("slices-l2", l2_parts))
+        arms.append(("slices-l2", _l2_params(args.k)))
 
     records = []
     for image_id, image in images:
@@ -155,10 +142,9 @@ def cmd_bench(args) -> int:
             ))
         for sigma, (exact_record, reference) in zip(args.sigma, exact):
             records.append(exact_record)
-            for method, parts in arms:
+            for method, arm_params in arms:
                 for k in args.k:
-                    base = approx.to_slices(parts[k], approx.SIGMA0)
-                    kernel = approx.scale_to_sigma(base, sigma)
+                    kernel = approx.gaussian_kernel(sigma, k, arm_params[k])
                     t, filtered = _median_time_ns(
                         lambda: separable_filter_2d(image, kernel), args.reps
                     )

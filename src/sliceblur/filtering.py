@@ -11,7 +11,8 @@ Boundaries use replicate (clamp) padding.  Each pass builds I for j in
 [-P-1, n+P-1], P the largest slice radius: the plain cumulative sum in the
 middle, and the analytic ramps I(j) = (j + 1) * f[0] for j < 0 and
 I(j) = I(n-1) + (j - n + 1) * f[n-1] for j >= n (``_fill_ramps``, the only
-code that knows the boundary).  Every slice term is then the difference of
+code that knows the boundary).  P may be n or more, since the ramps extend
+I as far as any slice reaches.  Every slice term is then the difference of
 two contiguous views of it.  All arithmetic is float64, in buffers that
 start on a cache line (``_empty``).
 
@@ -55,15 +56,7 @@ _DC_TOL = 1e-6
 _BLOCK = 1 << 15
 
 
-class KernelTooLargeError(ValueError):
-    """A slice radius reaches or exceeds the filtered extent."""
-
-
-def _check_kernel(kernel: SliceKernel, n: int):
-    if kernel.max_radius >= n:
-        raise KernelTooLargeError(
-            f"slice radius {kernel.max_radius} does not fit extent {n}"
-        )
+def _check_kernel(kernel: SliceKernel):
     if abs(kernel.dc_gain - 1.0) > _DC_TOL:
         raise ValueError("kernel must have unit DC gain; call normalized()")
 
@@ -146,7 +139,7 @@ def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
     signal = np.asarray(signal, dtype=np.float64)
     if signal.ndim != 1 or signal.size < 1:
         raise ValueError("need a non-empty 1D signal")
-    _check_kernel(kernel, signal.size)
+    _check_kernel(kernel)
     out = _empty(signal.shape)
     _row_pass(signal[None, :], kernel, out[None, :])
     return out
@@ -157,9 +150,8 @@ def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("need a 2D image")
+    _check_kernel(kernel)
     h, w = image.shape
-    _check_kernel(kernel, w)
-    _check_kernel(kernel, h)
     pad = kernel.max_radius
 
     # the column pass's extended cumulative sum; the row pass fills its middle
@@ -195,9 +187,8 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError("need a 2D image")
+    _check_kernel(kernel)
     h, w = image.shape
-    _check_kernel(kernel, w)
-    _check_kernel(kernel, h)
     pts = [(int(x), int(y)) for x, y in points]
     for x, y in pts:
         if not (0 <= x < w and 0 <= y < h):

@@ -26,8 +26,7 @@ def _report(num, name, ok):
 
 
 def _table_kernel(k, sigma):
-    part, sigma0 = approx.table_defaults(k)
-    return approx.scale_to_sigma(approx.to_slices(part, sigma0), sigma)
+    return approx.gaussian_kernel(sigma, k)
 
 
 def _random_kernel(rng, n):
@@ -171,7 +170,7 @@ def test_criterion_6_constant_roundtrip(tmp_path):
 
 def test_criterion_7_autocorrelation_ratio():
     model = approx.build_autocorr(100, 16.5)
-    ratio = model.phi[100] / model.phi[200]  # Phi_0 / Phi_100
+    ratio = model.matrix[0, 0] / model.matrix[0, 100]  # Phi_0 / Phi_100
     ok = abs(ratio - 4.0 / 3.0) / (4.0 / 3.0) < 0.05
     print(f"  Phi_0 / Phi_100 = {ratio:.4f}")
     _report(7, "autocorrelation DC ratio", ok)

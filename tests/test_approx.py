@@ -9,10 +9,12 @@ import pytest
 from sliceblur.approx import (
     SIGMA0,
     AutocorrModel,
+    DegeneratePartitionError,
     DegenerateScaleError,
     Partition,
     SliceKernel,
     build_autocorr,
+    gaussian_kernel,
     identity_model,
     optimal_constants,
     partition_profile,
@@ -31,8 +33,7 @@ def _random_spd(rng, n):
 
 
 def _model_from_matrix(matrix):
-    n = matrix.shape[0]
-    return AutocorrModel(phi=np.zeros(2 * n - 1), matrix=matrix)
+    return AutocorrModel(matrix)
 
 
 class TestSampleGaussian:
@@ -68,13 +69,14 @@ class TestBuildAutocorr:
             build_autocorr(0)
 
     def test_even_symmetry(self):
+        # Phi_{j-k} = Phi_{k-j} exactly
         for r in (1, 4, 17, 100):
             m = build_autocorr(r)
-            assert np.array_equal(m.phi, m.phi[::-1])
+            assert np.array_equal(m.matrix, m.matrix.T)
 
     def test_dc_ratio(self):
         m = build_autocorr(100, 16.5)
-        ratio = m.phi[100] / m.phi[200]  # Phi_0 / Phi_100
+        ratio = m.matrix[0, 0] / m.matrix[0, 100]  # Phi_0 / Phi_100
         assert abs(ratio - 4.0 / 3.0) / (4.0 / 3.0) < 0.05
 
     def test_brute_force_inverse_dft(self):
@@ -88,7 +90,7 @@ class TestBuildAutocorr:
                 s = 16.5 if u == 0 else 1.0 / (u * u)
                 acc += s * math.cos(2.0 * math.pi * u * j / n)
             acc /= n
-            assert m.phi[j + r] == pytest.approx(acc, abs=1e-12)
+            assert m.matrix[0, abs(j)] == pytest.approx(acc, abs=1e-12)
 
     def test_positive_semidefinite(self):
         for r in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200):
@@ -97,10 +99,12 @@ class TestBuildAutocorr:
             assert eig.min() >= -1e-9 * np.trace(m.matrix)
 
     def test_matrix_is_toeplitz_of_phi(self):
+        # every entry is Phi_{|j-k|}, read off the first row
         m = build_autocorr(6)
+        assert m.dim == 7
         for j in range(7):
             for k in range(7):
-                assert m.matrix[j, k] == m.phi[6 + j - k]
+                assert m.matrix[j, k] == m.matrix[0, abs(j - k)]
 
 
 class TestQuadraticError:
@@ -201,6 +205,12 @@ class TestOptimalConstants:
         assert part.constants[0] == pytest.approx(grid[best[0]], abs=2e-3)
         assert part.constants[1] == pytest.approx(grid[best[1]], abs=2e-3)
 
+    def test_degenerate_partition(self):
+        # the second interval of (3, 3) is empty, so the basis is singular
+        target = sample_gaussian(3.0, 10)
+        with pytest.raises(DegeneratePartitionError):
+            optimal_constants(target, (3, 3), build_autocorr(9))
+
     def test_local_optimality(self):
         target = sample_gaussian(SIGMA0, 100)
         model = build_autocorr(99)
@@ -253,6 +263,17 @@ class TestSearchPartitions:
         target = sample_gaussian(SIGMA0, 100)
         part = search_partitions(target, 3, build_autocorr(99))
         assert np.all(np.abs(part.breakpoints - np.array((23, 46, 76))) <= 2)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_few_samples(self, k):
+        # below samples 14 (k = 4) and 18 (k = 5) the stride-4 coarse grid
+        # has fewer than k points and the search is exhaustive
+        for n in range(k + 1, 21):
+            target = sample_gaussian(n / math.pi, n)
+            part = search_partitions(target, k, build_autocorr(n - 1))
+            bp = part.breakpoints
+            assert bp.size == k and bp[0] >= 1 and bp[-1] <= n - 1
+            assert np.all(np.diff(bp) > 0)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_dominates_builtin_defaults(self, k):
@@ -369,6 +390,30 @@ class TestScaleToSigma:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             scale_to_sigma(self._base(), 0.0)
+
+
+class TestGaussianKernel:
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_is_the_scaled_table_kernel(self, k):
+        for sigma in (0.6, 1.0, 2.5, 5.0, 12.0, 50.0, 200.0):
+            got = gaussian_kernel(sigma, k)
+            want = scale_to_sigma(to_slices(*table_defaults(k)), sigma)
+            assert got.radii.tobytes() == want.radii.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.sigma == sigma
+
+    def test_params_override_k(self):
+        params = (Partition((4, 9), (0.8, 0.3)), 3.0)
+        want = scale_to_sigma(to_slices(*params), 7.0)
+        for k in (3, 5):
+            got = gaussian_kernel(7.0, k, params)
+            assert got.radii.tobytes() == want.radii.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_degenerate_scale(self, k):
+        with pytest.raises(DegenerateScaleError):
+            gaussian_kernel(0.3, k)
 
 
 class TestTableDefaults:

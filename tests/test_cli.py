@@ -225,11 +225,13 @@ class TestFilterCommand:
         assert rc == 2
         assert capsys.readouterr().err != ""
 
-    def test_kernel_too_large_exit_2(self, tmp_path):
+    def test_sigma_beyond_image_roundtrip(self, tmp_path):
+        # radius 119 on a 32x32 image: the constant comes back unchanged
         src = tmp_path / "c.pgm"
+        dst = tmp_path / "o.pgm"
         main(["synth", "constant", str(src), "--width", "32", "--height", "32"])
-        rc = main(["filter", str(src), str(tmp_path / "o.pgm"), "--sigma", "50"])
-        assert rc == 2
+        assert main(["filter", str(src), str(dst), "--sigma", "50"]) == 0
+        assert dst.read_bytes() == src.read_bytes()
 
 
 class TestMain:
@@ -270,6 +272,16 @@ class TestOptimizeCommand:
             assert main(["optimize", "--k", "2", "--params", str(path),
                          "--samples", "20"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_k5_few_samples(self, tmp_path):
+        pfile = tmp_path / "p.txt"
+        assert main(["optimize", "--k", "5", "--params", str(pfile),
+                     "--samples", "16"]) == 0
+        assert load_params(pfile).partition.k == 5
+        src = tmp_path / "n.pgm"
+        write_pgm(src, np.random.default_rng(7).random((24, 24)))
+        assert main(["filter", str(src), str(tmp_path / "o.pgm"), "--sigma", "3",
+                     "--params", str(pfile)]) == 0
 
     def test_toy_matches_enumeration(self, tmp_path):
         n = 13

@@ -6,20 +6,14 @@ import numpy as np
 import pytest
 
 from sliceblur import filtering
-from sliceblur.approx import Partition, SliceKernel, scale_to_sigma, table_defaults, to_slices
-from sliceblur.filtering import (
-    KernelTooLargeError,
-    filter_at,
-    separable_filter_2d,
-    slice_filter_1d,
-)
+from sliceblur.approx import SliceKernel, gaussian_kernel
+from sliceblur.filtering import filter_at, separable_filter_2d, slice_filter_1d
 from sliceblur.oracle import direct_convolve_1d
 from sliceblur.synth import make_image
 
 
 def table_kernel(k=3, sigma=4.0):
-    part, sigma0 = table_defaults(k)
-    return scale_to_sigma(to_slices(part, sigma0), sigma)
+    return gaussian_kernel(sigma, k)
 
 
 def random_kernel(rng, n):
@@ -75,9 +69,13 @@ class TestSliceFilter1D:
             dense = direct_convolve_1d(sig, kern.dense(), "replicate")
             assert np.abs(fast - dense).max() <= 1e-10
 
-    def test_kernel_too_large(self):
-        with pytest.raises(KernelTooLargeError):
-            slice_filter_1d(np.zeros(5), SliceKernel((5,), (1.0 / 11.0,)))
+    def test_radius_beyond_extent_matches_dense(self):
+        # radius 5 on 5 samples: the far slice ends lie on the ramps only
+        kern = SliceKernel((5,), (1.0 / 11.0,))
+        for sig in (np.zeros(5), np.random.default_rng(7).random(5)):
+            fast = slice_filter_1d(sig, kern)
+            dense = direct_convolve_1d(sig, kern.dense(), "replicate")
+            assert np.abs(fast - dense).max() <= 1e-10
 
     def test_rejects_non_unit_gain(self):
         with pytest.raises(ValueError):
@@ -174,12 +172,14 @@ class TestSeparableFilter2D:
         assert np.all(slice_filter_1d(img[0], kern) == 0)
         assert np.all(filter_at(img, kern, [(0, 0), (29, 19), (7, 3)]) == 0)
 
-    def test_kernel_too_large_either_dim(self):
+    def test_radius_beyond_either_dim_matches_dense(self):
         kern = table_kernel(3, 20.0)  # max radius 47
-        with pytest.raises(KernelTooLargeError):
-            separable_filter_2d(np.zeros((40, 200)), kern)
-        with pytest.raises(KernelTooLargeError):
-            separable_filter_2d(np.zeros((200, 40)), kern)
+        rng = np.random.default_rng(31)
+        for shape in ((40, 200), (200, 40)):
+            for img in (np.zeros(shape), rng.random(shape)):
+                fast = separable_filter_2d(img, kern)
+                dense = dense_separable_2d(img, kern.dense())
+                assert np.abs(fast - dense).max() <= 1e-10
 
 
 class TestFilterAt:
@@ -247,7 +247,7 @@ class TestProperties:
         def check(data):
             h = data.draw(st.integers(1, 64), label="h")
             w = data.draw(st.integers(1, 64), label="w")
-            kern = data.draw(_slice_kernels(st, min(h, w) - 1), label="kernel")
+            kern = data.draw(_slice_kernels(st, 3 * max(h, w)), label="kernel")
             seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
             img = np.random.default_rng(seed).random((h, w))
             fast = separable_filter_2d(img, kern)
@@ -272,7 +272,7 @@ class TestProperties:
         @hyp.given(data=st.data())
         def check(data):
             n = data.draw(st.integers(1, 200), label="n")
-            kern = data.draw(_slice_kernels(st, n - 1), label="kernel")
+            kern = data.draw(_slice_kernels(st, 3 * n), label="kernel")
             seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
             sig = np.random.default_rng(seed).random(n)
             fast = slice_filter_1d(sig, kern)

@@ -1,14 +1,16 @@
 """Tests for the dense reference convolutions, metrics and op counting."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from sliceblur.approx import SliceKernel, scale_to_sigma, table_defaults, to_slices
-from sliceblur.filtering import KernelTooLargeError
+from sliceblur import filtering
+from sliceblur.approx import SliceKernel, gaussian_kernel
 from sliceblur.oracle import (
     PSNR_INF,
+    KernelTooLargeError,
     count_ops,
     direct_convolve_1d,
     exact_gaussian_2d,
@@ -145,8 +147,7 @@ class TestCountOps:
     def _kernel(self, k, sigma=8.0):
         if k == 1:
             return SliceKernel((5,), (1.0 / 11.0,))
-        part, sigma0 = table_defaults(k)
-        return scale_to_sigma(to_slices(part, sigma0), sigma)
+        return gaussian_kernel(sigma, k)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_interior_rates(self, k):
@@ -167,3 +168,22 @@ class TestCountOps:
         kern = SliceKernel((10,), (1.0 / 21.0,))
         with pytest.raises(KernelTooLargeError):
             count_ops(np.zeros((21, 21)), kern)
+
+
+def test_count_ops_does_not_filter(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_ops ran the filter")
+
+    # replace the filter wherever a sliceblur module binds it
+    original = filtering.separable_filter_2d
+    for name, module in list(sys.modules.items()):
+        if name == "sliceblur" or name.startswith("sliceblur."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+    img = np.zeros((128, 128))
+    for k in (1, 3, 5):
+        counter = count_ops(img, TestCountOps()._kernel(k))
+        assert (counter.adds_per_px, counter.muls_per_px) == (4 * k, 2 * k)
+    with pytest.raises(ValueError):
+        count_ops(np.zeros(16), gaussian_kernel(2.0))
