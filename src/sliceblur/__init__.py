@@ -12,7 +12,6 @@ minimized.
 from .approx import (
     AutocorrModel,
     DegeneratePartitionError,
-    DegenerateScaleError,
     Partition,
     SampledKernel,
     SliceKernel,
@@ -28,7 +27,6 @@ from .approx import (
 )
 from .filtering import filter_at, separable_filter_2d, slice_filter_1d
 from .oracle import (
-    KernelTooLargeError,
     OpCounter,
     count_ops,
     direct_convolve_1d,
@@ -40,8 +38,6 @@ from .oracle import (
 __all__ = [
     "AutocorrModel",
     "DegeneratePartitionError",
-    "DegenerateScaleError",
-    "KernelTooLargeError",
     "OpCounter",
     "Partition",
     "SampledKernel",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,10 +29,6 @@ import numpy as np
 
 class DegeneratePartitionError(ValueError):
     """The interval basis is singular (duplicate or empty intervals)."""
-
-
-class DegenerateScaleError(ValueError):
-    """All slice radii collapsed to zero; use direct convolution instead."""
 
 
 @dataclass(frozen=True)
@@ -342,18 +339,15 @@ def scale_to_sigma(base: SliceKernel, sigma: float) -> SliceKernel:
     Radii are scaled by sigma/sigma0 and floored; each weight is scaled by
     p_i / (2 p_i' + 1); radii colliding after the floor are merged by
     summing weights; finally all weights are rescaled to exact unit DC gain
-    so constant inputs are preserved.
+    so constant inputs are preserved.  Once every radius floors to 0 the
+    merge leaves one radius-0 slice of weight 1: the identity filter.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if base.sigma is None:
         raise ValueError("base kernel does not carry its native sigma")
     ratio = sigma / base.sigma
     new_p = np.floor(ratio * base.radii).astype(np.int64)
-    if base.k > 1 and new_p[-1] == 0:
-        raise DegenerateScaleError(
-            "all radii collapsed to 0; convolve directly with a small kernel"
-        )
     new_w = base.radii / (2.0 * new_p + 1.0) * base.weights
     # the floored radii are non-decreasing, so colliding ones are adjacent;
     # each group sums from 0.0 in index order

@@ -148,11 +148,12 @@ def cmd_bench(args) -> int:
                     t, filtered = _median_time_ns(
                         lambda: separable_filter_2d(image, kernel), args.reps
                     )
+                    ops = oracle.count_ops(image, kernel)
                     records.append(
                         BenchRecord(
                             method, k, sigma, image_id, t,
                             oracle.psnr(filtered, reference),
-                            4.0 * k, 2.0 * k,
+                            ops.adds_per_px, ops.muls_per_px,
                         )
                     )
                     del filtered  # time every fast arm with the same memory held

@@ -148,8 +148,8 @@ def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
 def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
     """Filter a 2D image: slice-filter every row, then every column."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError("need a 2D image")
+    if image.ndim != 2 or image.size == 0:
+        raise ValueError("need a non-empty 2D image")
     _check_kernel(kernel)
     h, w = image.shape
     pad = kernel.max_radius
@@ -185,8 +185,8 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
     corresponding pixels of :func:`separable_filter_2d`.
     """
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError("need a 2D image")
+    if image.ndim != 2 or image.size == 0:
+        raise ValueError("need a non-empty 2D image")
     _check_kernel(kernel)
     h, w = image.shape
     pts = [(int(x), int(y)) for x, y in points]

@@ -19,13 +19,9 @@ from .approx import SliceKernel
 PSNR_INF = math.inf
 
 
-class KernelTooLargeError(ValueError):
-    """The kernel leaves the image no interior pixels to count."""
-
-
 @dataclass(frozen=True)
 class OpCounter:
-    """Arithmetic totals over the interior pixels of one filtering run."""
+    """Arithmetic totals over the pixels of one filtering run."""
 
     additions: int
     multiplications: int
@@ -60,8 +56,8 @@ def direct_convolve_1d(signal, dense_kernel, boundary: str = "replicate") -> np.
 
 def gaussian_taps(sigma: float) -> np.ndarray:
     """Dense 1D Gaussian with truncation radius ceil(pi * sigma), sum 1."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     r = math.ceil(math.pi * sigma)
     t = np.arange(-r, r + 1, dtype=np.float64)
     v = np.exp(-(t * t) / (2.0 * sigma * sigma))
@@ -106,24 +102,18 @@ def psnr(a, b) -> float:
 
 
 def count_ops(image, kernel: SliceKernel) -> OpCounter:
-    """Count the interior per-pixel arithmetic of the 2D fast path.
+    """Count the per-pixel arithmetic of the 2D fast path.
 
     The counts follow from the cost model and the image shape; the filter
-    is not run.  An interior sample of a 1D pass costs one cumulative-sum
-    addition, k multiplications, k subtractions and k-1 accumulating
-    additions: 2k additions and k multiplications.  Rows plus columns
-    double that.
+    is not run.  Every sample of a 1D pass, at the boundary too, costs one
+    cumulative-sum addition, k multiplications, k subtractions and k-1
+    accumulating additions: 2k additions and k multiplications.  Rows plus
+    columns double that, over all h * w pixels.
     """
     shape = np.shape(image)
-    if len(shape) != 2:
-        raise ValueError("need a 2D image")
-    h, w = shape
-    p = kernel.max_radius
-    interior_w = w - 2 * p - 1
-    interior_h = h - 2 * p - 1
-    if interior_w <= 0 or interior_h <= 0:
-        raise KernelTooLargeError("no interior pixels at this kernel size")
-    pixels = interior_w * interior_h
+    if len(shape) != 2 or 0 in shape:
+        raise ValueError("need a non-empty 2D image")
+    pixels = shape[0] * shape[1]
     k = kernel.k
     return OpCounter(
         additions=4 * k * pixels, multiplications=2 * k * pixels, pixels=pixels

@@ -46,6 +46,8 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     except StopIteration:
         raise ValueError(f"{path}: truncated PGM header") from None
     width, height, maxval = int(width), int(height), int(maxval)
+    if width <= 0 or height <= 0:
+        raise ValueError(f"{path}: bad image size {width}x{height}")
     if not (0 < maxval < 65536):
         raise ValueError(f"{path}: bad maxval {maxval}")
     dtype = np.dtype(">u2") if maxval > 255 else np.uint8
@@ -60,8 +62,8 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
 def write_pgm(path, image, maxval: int = 255):
     """Quantize a [0, 1] float image and write it as P5."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError("need a 2D image")
+    if image.ndim != 2 or image.size == 0:
+        raise ValueError("need a non-empty 2D image")
     if not (0 < maxval < 65536):
         raise ValueError(f"bad maxval {maxval}")
     # Round first, then bound: rint(x * maxval) is rint(clip(x, 0, 1) * maxval)

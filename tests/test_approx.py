@@ -10,7 +10,6 @@ from sliceblur.approx import (
     SIGMA0,
     AutocorrModel,
     DegeneratePartitionError,
-    DegenerateScaleError,
     Partition,
     SliceKernel,
     build_autocorr,
@@ -383,13 +382,18 @@ class TestScaleToSigma:
         assert collided > 0
 
     def test_degenerate_scale(self):
+        # both radii floor to 0 and merge into the identity
         base = to_slices(Partition((4, 5), (1.0, 0.5)), 10.0)
-        with pytest.raises(DegenerateScaleError):
-            scale_to_sigma(base, 0.5)
+        scaled = scale_to_sigma(base, 0.5)
+        assert scaled.radii.tolist() == [0]
+        assert scaled.weights.tolist() == [1.0]
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             scale_to_sigma(self._base(), 0.0)
+        for sigma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"sigma .* {sigma}"):
+                scale_to_sigma(self._base(), sigma)
 
 
 class TestGaussianKernel:
@@ -412,8 +416,13 @@ class TestGaussianKernel:
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_degenerate_scale(self, k):
-        with pytest.raises(DegenerateScaleError):
-            gaussian_kernel(0.3, k)
+        # below sigma0 / p_k every radius floors to 0: the identity filter
+        cut = SIGMA0 / table_defaults(k)[0].breakpoints[-1]
+        for sigma in (0.05, 0.3, cut * (1 - 1e-9)):
+            kernel = gaussian_kernel(sigma, k)
+            assert kernel.radii.tolist() == [0]
+            assert kernel.weights.tolist() == [1.0]
+        assert gaussian_kernel(cut * 1.001, k).max_radius == 1
 
 
 class TestTableDefaults:

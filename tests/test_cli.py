@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import sliceblur
 from sliceblur import approx, oracle
 from sliceblur.cli import CSV_HEADER, build_parser, main
 from sliceblur.filtering import separable_filter_2d
@@ -104,6 +105,56 @@ class TestPgm:
             raw = np.frombuffer(path.read_bytes()[-img.size * dtype.itemsize :], dtype)
             want = np.rint(np.clip(img, 0.0, 1.0) * maxval)
             np.testing.assert_array_equal(raw.reshape(h, w), want)
+
+        check()
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_write_rejects_empty(self, tmp_path, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            write_pgm(tmp_path / "e.pgm", np.zeros(shape))
+
+    def test_write_read_write_is_byte_identical(self, tmp_path):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(derandomize=True, max_examples=40, deadline=None)
+        @hyp.given(
+            h=st.integers(1, 40),
+            w=st.integers(1, 40),
+            maxval=st.sampled_from([255, 65535]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        def check(h, w, maxval, seed):
+            img = np.random.default_rng(seed).random((h, w))
+            a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
+            write_pgm(a, img, maxval)
+            back, got_maxval = read_pgm(a)
+            assert got_maxval == maxval and back.shape == (h, w)
+            write_pgm(b, back, maxval)
+            assert a.read_bytes() == b.read_bytes()
+
+        check()
+
+    def test_trailing_bytes_are_ignored(self, tmp_path):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(derandomize=True, max_examples=40, deadline=None)
+        @hyp.given(
+            h=st.integers(1, 12),
+            w=st.integers(1, 12),
+            maxval=st.sampled_from([255, 65535]),
+            tail=st.binary(min_size=1, max_size=64),
+        )
+        def check(h, w, maxval, tail):
+            img = np.random.default_rng(h * 100 + w).random((h, w))
+            path = tmp_path / "t.pgm"
+            write_pgm(path, img, maxval)
+            want = read_pgm(path)
+            path.write_bytes(path.read_bytes() + tail)
+            got = read_pgm(path)
+            assert got[1] == want[1]
+            np.testing.assert_array_equal(got[0], want[0])
 
         check()
 
@@ -233,6 +284,32 @@ class TestFilterCommand:
         assert main(["filter", str(src), str(dst), "--sigma", "50"]) == 0
         assert dst.read_bytes() == src.read_bytes()
 
+    @pytest.mark.parametrize("size", [b"0 4", b"4 0", b"-2 -3"])
+    def test_bad_size_exit_2(self, tmp_path, capsys, size):
+        src = tmp_path / "s.pgm"
+        src.write_bytes(b"P5 " + size + b" 255\n" + bytes(16))
+        rc = main(["filter", str(src), str(tmp_path / "o.pgm"), "--sigma", "2"])
+        assert rc == 2
+        assert f"{src}: bad image size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exit_2(self, tmp_path, capsys, sigma):
+        src = tmp_path / "c.pgm"
+        main(["synth", "constant", str(src), "--width", "8", "--height", "8"])
+        rc = main(["filter", str(src), str(tmp_path / "o.pgm"), "--sigma", sigma])
+        assert rc == 2
+        assert sigma in capsys.readouterr().err
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("sigma", ["0.2", "0.3", "0.41"])
+    def test_sigma_below_cut_is_identity(self, tmp_path, maxval, sigma):
+        # every slice radius floors to 0, so the kernel is the identity
+        src = tmp_path / "n.pgm"
+        dst = tmp_path / "o.pgm"
+        write_pgm(src, make_image("one-over-f", 64, 48, seed=4), maxval)
+        assert main(["filter", str(src), str(dst), "--sigma", sigma]) == 0
+        assert dst.read_bytes() == src.read_bytes()
+
 
 class TestMain:
     def test_calls_share_no_state(self, tmp_path, capsys):
@@ -253,6 +330,12 @@ class TestMain:
 
     def test_build_parser_is_fresh(self):
         assert build_parser() is not build_parser()
+
+
+def test_all_names_resolve():
+    assert len(set(sliceblur.__all__)) == len(sliceblur.__all__)
+    for name in sliceblur.__all__:
+        assert hasattr(sliceblur, name), name
 
 
 class TestOptimizeCommand:
@@ -353,6 +436,35 @@ class TestBenchCommand:
         # k ordering holds once radii are large enough that the floor in
         # the radius scaling is negligible (sigma >= 10 or so)
         assert psnrs[("50.0", "5")] >= psnrs[("50.0", "3")]
+
+    def test_cost_columns_are_the_merged_kernels(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        main(["synth", "uniform-noise", str(corpus / "img.pgm"),
+              "--width", "32", "--height", "32"])
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(corpus), "--sigma", "1", "--sigma", "8",
+                     "--k", "3", "--k", "5", "--reps", "3", "--csv", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["method"] == "slices-qf"]
+        costs = {(r["sigma"], r["k"]): (r["adds_per_px"], r["muls_per_px"])
+                 for r in rows}
+        # k=5 at sigma 1 merges to 3 slices; sigma 8 keeps all of them
+        assert costs == {
+            ("1.0", "3"): ("12.0", "6.0"), ("1.0", "5"): ("12.0", "6.0"),
+            ("8.0", "3"): ("12.0", "6.0"), ("8.0", "5"): ("20.0", "10.0"),
+        }
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exit_2(self, tmp_path, capsys, sigma):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        main(["synth", "constant", str(corpus / "img.pgm"),
+              "--width", "8", "--height", "8"])
+        rc = main(["bench", str(corpus), "--sigma", sigma, "--k", "3",
+                   "--reps", "3", "--csv", str(tmp_path / "o.csv")])
+        assert rc == 2
+        assert sigma in capsys.readouterr().err
 
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "empty"

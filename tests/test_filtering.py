@@ -182,6 +182,12 @@ class TestSeparableFilter2D:
                 assert np.abs(fast - dense).max() <= 1e-10
 
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_image(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            separable_filter_2d(np.zeros(shape), table_kernel())
+
+
 class TestFilterAt:
     def test_all_pixels_identical(self):
         rng = np.random.default_rng(37)
@@ -223,6 +229,11 @@ class TestFilterAt:
             filter_at(img, table_kernel(3, 1.0), [(16, 0)])
         with pytest.raises(ValueError):
             filter_at(img, table_kernel(3, 1.0), [(0, -1)])
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_image(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            filter_at(np.zeros(shape), table_kernel(), [])
 
 
 def _slice_kernels(st, max_radius):

@@ -10,7 +10,6 @@ from sliceblur import filtering
 from sliceblur.approx import SliceKernel, gaussian_kernel
 from sliceblur.oracle import (
     PSNR_INF,
-    KernelTooLargeError,
     count_ops,
     direct_convolve_1d,
     exact_gaussian_2d,
@@ -76,6 +75,9 @@ class TestExactGaussian2D:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             exact_gaussian_2d(np.zeros((4, 4)), 0.0)
+        for sigma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"sigma .* {sigma}"):
+                gaussian_taps(sigma)
 
     def test_impulse_against_full_2d_loop(self):
         img = np.zeros((32, 32))
@@ -165,9 +167,16 @@ class TestCountOps:
         assert rates == {(12.0, 6.0)}
 
     def test_no_interior(self):
+        # no pixel is clear of the radius-10 kernel; all 441 cost the same
         kern = SliceKernel((10,), (1.0 / 21.0,))
-        with pytest.raises(KernelTooLargeError):
-            count_ops(np.zeros((21, 21)), kern)
+        counter = count_ops(np.zeros((21, 21)), kern)
+        assert counter.pixels == 441
+        assert (counter.adds_per_px, counter.muls_per_px) == (4.0, 2.0)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_image(self, shape):
+        with pytest.raises(ValueError):
+            count_ops(np.zeros(shape), self._kernel(3))
 
 
 def test_count_ops_does_not_filter(monkeypatch):
