@@ -347,6 +347,8 @@ def scale_to_sigma(base: SliceKernel, sigma: float) -> SliceKernel:
     if base.sigma is None:
         raise ValueError("base kernel does not carry its native sigma")
     ratio = sigma / base.sigma
+    if not ratio * base.max_radius < 2.0**63:
+        raise ValueError(f"sigma {sigma} is too large: its slice radii overflow int64")
     new_p = np.floor(ratio * base.radii).astype(np.int64)
     new_w = base.radii / (2.0 * new_p + 1.0) * base.weights
     # the floored radii are non-decreasing, so colliding ones are adjacent;

@@ -13,10 +13,18 @@ middle, and the analytic ramps I(j) = (j + 1) * f[0] for j < 0 and
 I(j) = I(n-1) + (j - n + 1) * f[n-1] for j >= n (``_fill_ramps``, the only
 code that knows the boundary).  P may be n or more, since the ramps extend
 I as far as any slice reaches.  Every slice term is then the difference of
-two contiguous views of it.  All arithmetic is float64, in buffers that
-start on a cache line (``_empty``).
+two contiguous views of it.  The buffers start on a cache line
+(``_empty``).
 
-Both passes stream through blocks of about ``_BLOCK`` values, so that a
+A float32 input is filtered in float32; any other input is converted to
+float64 first (``as_float``).  Each pass is bound by the bytes it moves,
+so float32 runs about 1.6-1.8x faster at 1024² and 2048².  The running
+sums of a row or column of n samples in [0, 1] reach n, so the float32
+error grows about linearly with n: on 8-bit 1/f images at sigma 2 the
+largest difference from the float64 result was 2.2e-5 at n = 1024,
+5.1e-5 at 2048 and 1.1e-4 at 4096, under 0.03 of an 8-bit step.
+
+Both passes stream through blocks of about ``_BLOCK`` bytes, so that a
 block's running sum, its slice terms and its output stay in the L2 cache:
 
 * The row pass takes the rows a block at a time, writes the block's
@@ -51,9 +59,16 @@ import numpy as np
 from .approx import SliceKernel
 
 _DC_TOL = 1e-6
-# float64 values per block (256 KiB): a block with its running sum and its
-# slice-term scratch stays in a 1-2 MiB L2 cache
-_BLOCK = 1 << 15
+# bytes per block (256 KiB: 2**15 float64 or 2**16 float32 values): a block
+# with its running sum and its slice-term scratch stays in a 1-2 MiB L2 cache
+_BLOCK = 1 << 18
+
+
+def as_float(a) -> np.ndarray:
+    """``a`` as the array the filters compute in: a float32 array as it
+    is, anything else converted to float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
 
 
 def _check_kernel(kernel: SliceKernel):
@@ -61,21 +76,21 @@ def _check_kernel(kernel: SliceKernel):
         raise ValueError("kernel must have unit DC gain; call normalized()")
 
 
-def _empty(shape) -> np.ndarray:
-    """An uninitialised float64 array whose data starts on a 64-byte (cache
-    line) boundary.  ``np.empty`` data is only 16-byte aligned under glibc's
+def _empty(shape, dtype) -> np.ndarray:
+    """An uninitialised array whose data starts on a 64-byte (cache line)
+    boundary.  ``np.empty`` data is only 16-byte aligned under glibc's
     malloc; vector stores into a block that starts off a line straddle two
     lines, and a subtraction into an L2-resident block ran about half as
     fast."""
-    size = math.prod(shape)
-    raw = np.empty(size + 7)
-    start = (-raw.ctypes.data // 8) % 8
-    return raw[start : start + size].reshape(shape)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 63, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
-def _block_rows(h: int, n: int) -> int:
-    """Rows per block of an ``h`` x ``n`` array."""
-    return max(1, min(h, _BLOCK // n))
+def _block_rows(h: int, n: int, dtype) -> int:
+    """Rows per block of an ``h`` x ``n`` array of ``dtype``."""
+    return max(1, min(h, _BLOCK // (n * np.dtype(dtype).itemsize)))
 
 
 def _fill_ramps(e: np.ndarray, first, last, pad: int):
@@ -89,10 +104,10 @@ def _fill_ramps(e: np.ndarray, first, last, pad: int):
     n = e.shape[0] - 2 * pad - 1
     along = (slice(None),) + (None,) * (e.ndim - 1)
     # left ramp (j + 1) * f[0] for j = -pad-1 .. -1
-    np.multiply(np.arange(-pad, 1.0)[along], first, out=e[: pad + 1])
+    np.multiply(np.arange(-pad, 1, dtype=e.dtype)[along], first, out=e[: pad + 1])
     # right ramp I(n-1) + (j - n + 1) * f[n-1] for j = n .. n+pad-1
     right = e[pad + 1 + n :]
-    np.multiply(np.arange(1, pad + 1.0)[along], last, out=right)
+    np.multiply(np.arange(1, pad + 1, dtype=e.dtype)[along], last, out=right)
     right += e[pad + n]
 
 
@@ -115,8 +130,8 @@ def _row_blocks(a: np.ndarray, pad: int):
     the slice of rows, and their cumulative sum along axis 1, clamp-extended
     by ``pad``.  ``e`` is one buffer, overwritten for every block."""
     h, n = a.shape
-    step = _block_rows(h, n)
-    buf = _empty((step, n + 2 * pad + 1))
+    step = _block_rows(h, n, a.dtype)
+    buf = _empty((step, n + 2 * pad + 1), a.dtype)
     for r0 in range(0, h, step):
         block = a[r0 : r0 + step]
         e = buf[: len(block)]
@@ -128,7 +143,7 @@ def _row_blocks(a: np.ndarray, pad: int):
 def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray):
     """Slice-filter every row of the 2D ``a`` into ``out``."""
     h, n = a.shape
-    term = _empty((_block_rows(h, n), n))
+    term = _empty((_block_rows(h, n, a.dtype), n), a.dtype)
     for rows, e in _row_blocks(a, kernel.max_radius):
         o = out[rows]
         _sum_slices(lambda i: e[:, i : i + n], kernel, o, term[: len(o)])
@@ -136,26 +151,27 @@ def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray):
 
 def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
     """Filter a 1D signal with a unit-gain slice kernel."""
-    signal = np.asarray(signal, dtype=np.float64)
+    signal = as_float(signal)
     if signal.ndim != 1 or signal.size < 1:
         raise ValueError("need a non-empty 1D signal")
     _check_kernel(kernel)
-    out = _empty(signal.shape)
+    out = _empty(signal.shape, signal.dtype)
     _row_pass(signal[None, :], kernel, out[None, :])
     return out
 
 
 def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
     """Filter a 2D image: slice-filter every row, then every column."""
-    image = np.asarray(image, dtype=np.float64)
+    image = as_float(image)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("need a non-empty 2D image")
     _check_kernel(kernel)
     h, w = image.shape
     pad = kernel.max_radius
+    dtype = image.dtype
 
     # the column pass's extended cumulative sum; the row pass fills its middle
-    ext = _empty((h + 2 * pad + 1, w))
+    ext = _empty((h + 2 * pad + 1, w), dtype)
     mid = ext[pad + 1 : pad + 1 + h]
     _row_pass(image, kernel, mid)
     last = mid[-1].copy()
@@ -166,9 +182,9 @@ def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
         prev = cur
     _fill_ramps(ext, mid[0], last, pad)
 
-    out = _empty(image.shape)
-    step = _block_rows(h, w)
-    term = _empty((step, w))
+    out = _empty(image.shape, dtype)
+    step = _block_rows(h, w, dtype)
+    term = _empty((step, w), dtype)
     for r0 in range(0, h, step):
         o = out[r0 : r0 + step]
         nb = len(o)
@@ -184,11 +200,12 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
     the rows of their transpose.  Values are identical to the
     corresponding pixels of :func:`separable_filter_2d`.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = as_float(image)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("need a non-empty 2D image")
     _check_kernel(kernel)
     h, w = image.shape
+    dtype = image.dtype
     pts = [(int(x), int(y)) for x, y in points]
     for x, y in pts:
         if not (0 <= x < w and 0 <= y < h):
@@ -201,10 +218,10 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
     starts = [i for p in kernel.radii.tolist() for i in (pad + 1 + p, pad - p)]
     slot = {i: j for j, i in enumerate(starts)}
     idx = np.add.outer(starts, xs)
-    step = _block_rows(h, w)
-    gathered = _empty((step,) + idx.shape)
-    cols = _empty((h, xs.size))
-    term = _empty((step, xs.size))
+    step = _block_rows(h, w, dtype)
+    gathered = _empty((step,) + idx.shape, dtype)
+    cols = _empty((h, xs.size), dtype)
+    term = _empty((step, xs.size), dtype)
     for rows, e in _row_blocks(image, pad):
         c = cols[rows]
         g = gathered[: len(c)]
@@ -214,4 +231,4 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
     columns = np.ascontiguousarray(cols.T)
     _row_pass(columns, kernel, columns)
     index = {x: i for i, x in enumerate(xs.tolist())}
-    return np.array([columns[index[x], y] for x, y in pts])
+    return np.array([columns[index[x], y] for x, y in pts], dtype=dtype)

@@ -58,6 +58,8 @@ def gaussian_taps(sigma: float) -> np.ndarray:
     """Dense 1D Gaussian with truncation radius ceil(pi * sigma), sum 1."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not math.pi * sigma < 2.0**63:
+        raise ValueError(f"sigma {sigma} is too large: its radius overflows int64")
     r = math.ceil(math.pi * sigma)
     t = np.arange(-r, r + 1, dtype=np.float64)
     v = np.exp(-(t * t) / (2.0 * sigma * sigma))

@@ -1,9 +1,11 @@
 """Binary PGM (P5) grayscale image I/O.
 
-Pixels map linearly to [0, 1] floats on read; writing quantizes with
-round-to-nearest and rejects NaN and infinite pixels.  Both 8-bit and
-16-bit (big-endian) maxvals are supported.  Headers are written in a fixed
-form so equal images produce byte-identical files.
+Pixels map linearly to [0, 1] floats on read: float32 for 8-bit files,
+so that the filters run in float32, and float64 for 16-bit files, whose
+levels a float32 filter would miss by several steps at 2048².  Writing
+quantizes with round-to-nearest and rejects NaN and infinite pixels.  Both
+8-bit and 16-bit (big-endian) maxvals are supported.  Headers are written
+in a fixed form so equal images produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .filtering import as_float
 
 
 def _tokens(data: bytes):
@@ -55,13 +59,18 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     raw = np.frombuffer(data, dtype=dtype, count=count, offset=end + 1)
     if raw.size != count:
         raise ValueError(f"{path}: truncated pixel data")
-    image = np.divide(raw.reshape(height, width), maxval, dtype=np.float64)
-    return image, maxval
+    pixel_type = np.float32 if maxval <= 255 else np.float64
+    return np.divide(raw.reshape(height, width), maxval, dtype=pixel_type), maxval
 
 
 def write_pgm(path, image, maxval: int = 255):
-    """Quantize a [0, 1] float image and write it as P5."""
-    image = np.asarray(image, dtype=np.float64)
+    """Quantize a [0, 1] float image and write it as P5.
+
+    A float32 image is quantized in float32, anything else in float64.  At
+    an exact half-level tie x * maxval may round the other way in float32,
+    so a float32 image writes within 1 level of its float64 upcast.
+    """
+    image = as_float(image)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("need a non-empty 2D image")
     if not (0 < maxval < 65536):
@@ -72,7 +81,7 @@ def write_pgm(path, image, maxval: int = 255):
     # huge finite pixel overflows the multiply to an infinity of its own sign,
     # which the clip also maps to maxval or 0.
     with np.errstate(over="ignore"):
-        q = np.multiply(image, maxval, out=np.empty(image.shape))
+        q = np.multiply(image, maxval, out=np.empty(image.shape, image.dtype))
     np.rint(q, out=q)
     lo, hi = float(q.min()), float(q.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -395,6 +395,14 @@ class TestScaleToSigma:
             with pytest.raises(ValueError, match=f"sigma .* {sigma}"):
                 scale_to_sigma(self._base(), sigma)
 
+    def test_sigma_overflowing_int64_radii(self):
+        with pytest.raises(ValueError, match=r"sigma 1e\+300 is too large"):
+            scale_to_sigma(self._base(), 1e300)
+        with pytest.raises(ValueError, match=r"sigma 1\.7976931348623157e\+308"):
+            scale_to_sigma(self._base(), 1.7976931348623157e308)
+        # the largest radius still fits: the kernel is built
+        assert scale_to_sigma(self._base(), 1e17).max_radius > 2**57
+
 
 class TestGaussianKernel:
     @pytest.mark.parametrize("k", [3, 4, 5])

@@ -25,7 +25,7 @@ class TestPgm:
         write_pgm(path, img)
         back, maxval = read_pgm(path)
         assert maxval == 255
-        assert back.shape == (13, 17)
+        assert back.shape == (13, 17) and back.dtype == np.float32
         assert np.abs(back - img).max() <= 0.5 / 255 + 1e-12
 
     def test_roundtrip_16bit(self, tmp_path):
@@ -35,6 +35,7 @@ class TestPgm:
         write_pgm(path, img, maxval=65535)
         back, maxval = read_pgm(path)
         assert maxval == 65535
+        assert back.dtype == np.float64
         assert np.abs(back - img).max() <= 0.5 / 65535 + 1e-12
 
     def test_comment_header(self, tmp_path):
@@ -57,13 +58,31 @@ class TestPgm:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_write_rejects_non_finite(self, tmp_path, bad):
-        img = np.full((4, 5), 0.5)
-        img[1, 2] = bad
-        img[3, 0] = np.nan
-        path = tmp_path / "n.pgm"
-        with pytest.raises(ValueError, match=r"\b2 non-finite"):
-            write_pgm(path, img)
-        assert not path.exists()
+        for dtype in (np.float64, np.float32):
+            img = np.full((4, 5), 0.5, dtype)
+            img[1, 2] = bad
+            img[3, 0] = np.nan
+            path = tmp_path / "n.pgm"
+            with pytest.raises(ValueError, match=r"^cannot quantize 2 non-finite"):
+                write_pgm(path, img)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_write_float32_within_one_level_of_float64(self, tmp_path, maxval):
+        # float32 pixels are quantized in float32: next to the half-level
+        # ties (n + 0.5) / maxval that may round the other way
+        ties = np.arange(-1, maxval + 1) + 0.5
+        near = np.divide(ties, maxval, dtype=np.float32)
+        img = np.stack([np.nextafter(near, -1), near, np.nextafter(near, 2)])
+        rng = np.random.default_rng(maxval)
+        img = np.concatenate([img, rng.random((3, img.shape[1]), np.float32)])
+        levels = {}
+        for dtype in (np.float32, np.float64):
+            path = tmp_path / f"{np.dtype(dtype).name}.pgm"
+            write_pgm(path, img.astype(dtype), maxval)
+            levels[dtype], _ = read_pgm(path)
+        diff = np.abs(levels[np.float32] * maxval - levels[np.float64] * maxval)
+        assert np.rint(diff).max() <= 1
 
     def test_write_huge_finite_pixels(self, tmp_path):
         # x * maxval overflows to +-inf; the pixels still clip to maxval and 0
@@ -309,6 +328,46 @@ class TestFilterCommand:
         write_pgm(src, make_image("one-over-f", 64, 48, seed=4), maxval)
         assert main(["filter", str(src), str(dst), "--sigma", sigma]) == 0
         assert dst.read_bytes() == src.read_bytes()
+
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_output_matches_float64_path(self, tmp_path, maxval):
+        # 8-bit files are filtered in float32: within 1 level of the float64
+        # result; 16-bit files are filtered in float64, byte for byte
+        src, dst, ref = (tmp_path / f"{n}.pgm" for n in ("s", "o", "r"))
+        write_pgm(src, make_image("one-over-f", 200, 150, seed=7), maxval)
+        image, _ = read_pgm(src)
+        assert image.dtype == (np.float32 if maxval == 255 else np.float64)
+        for sigma in (2.0, 5.0, 30.0):
+            assert main(["filter", str(src), str(dst), "--sigma", repr(sigma)]) == 0
+            kernel = approx.gaussian_kernel(sigma, 3)
+            write_pgm(ref, separable_filter_2d(image.astype(np.float64), kernel), maxval)
+            if maxval == 65535:
+                assert dst.read_bytes() == ref.read_bytes()
+            else:
+                got, want = read_pgm(dst)[0], read_pgm(ref)[0]
+                assert np.rint(np.abs(got - want) * maxval).max() <= 1
+
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            ("1e300", "sigma 1e+300 is too large"),
+            # the radius fits int64, but the buffers would not fit any
+            # address space: numpy's allocation fails before touching
+            # memory, with a message of its own
+            ("1e17", ""),
+            ("1e9", ""),
+        ],
+        ids=["1e300", "1e17", "1e9"],
+    )
+    def test_huge_sigma_one_line_exit_2(self, tmp_path, capsys, sigma, message):
+        src = tmp_path / "n.pgm"
+        write_pgm(src, np.random.default_rng(8).random((8, 16384)))
+        rc = main(["filter", str(src), str(tmp_path / "o.pgm"), "--sigma", sigma])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("sliceblur: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestMain:

@@ -8,7 +8,7 @@ import pytest
 from sliceblur import filtering
 from sliceblur.approx import SliceKernel, gaussian_kernel
 from sliceblur.filtering import filter_at, separable_filter_2d, slice_filter_1d
-from sliceblur.oracle import direct_convolve_1d
+from sliceblur.oracle import direct_convolve_1d, exact_gaussian_2d, psnr
 from sliceblur.synth import make_image
 
 
@@ -188,15 +188,64 @@ class TestSeparableFilter2D:
             separable_filter_2d(np.zeros(shape), table_kernel())
 
 
+class TestDtype:
+    """A float32 input is filtered in float32, anything else in float64."""
+
+    FILTERS = {
+        "slice_filter_1d": lambda a, kern: slice_filter_1d(a[0], kern),
+        "separable_filter_2d": separable_filter_2d,
+        "filter_at": lambda a, kern: filter_at(a, kern, [(0, 0), (4, 2), (9, 5)]),
+    }
+
+    @pytest.mark.parametrize("name", FILTERS)
+    @pytest.mark.parametrize(
+        "dtype, result",
+        [(np.float32, np.float32), (np.float64, np.float64),
+         (np.uint8, np.float64), (np.int64, np.float64), (np.float16, np.float64)],
+    )
+    def test_result_dtype(self, name, dtype, result):
+        img = (np.random.default_rng(3).random((6, 10)) * 100).astype(dtype)
+        kern = table_kernel(3, 2.0)
+        got = self.FILTERS[name](img, kern)
+        assert got.dtype == result
+        # a non-float32 input is filtered as its float64 conversion
+        want = self.FILTERS[name](img.astype(result), kern)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.fixture(scope="class")
+    def image_8bit(self):
+        levels = np.rint(make_image("one-over-f", 2048, 2048, seed=5) * 255)
+        levels = levels.astype(np.uint8)
+        # as pgm.read_pgm gives an 8-bit file, and its float64 counterpart
+        return np.divide(levels, 255, dtype=np.float32), levels / 255.0
+
+    @pytest.mark.parametrize("sigma", [2.0, 5.0, 50.0])
+    def test_float32_bound_at_2048(self, image_8bit, sigma):
+        # The stated float32 error: at 2048², k=3, at most 1e-4 from the
+        # float64 result (under 0.03 of an 8-bit step), and the same PSNR
+        # against the dense Gaussian within 0.01 dB.
+        img32, img64 = image_8bit
+        kern = table_kernel(3, sigma)
+        out32 = separable_filter_2d(img32, kern)
+        out64 = separable_filter_2d(img64, kern)
+        assert out32.dtype == np.float32
+        assert np.abs(out32 - out64).max() <= 1e-4
+        exact = exact_gaussian_2d(img64, sigma)
+        assert abs(psnr(out32, exact) - psnr(out64, exact)) <= 0.01
+
+
 class TestFilterAt:
     def test_all_pixels_identical(self):
         rng = np.random.default_rng(37)
-        img = rng.random((24, 30))
         kern = table_kernel(3, 2.0)
-        full = separable_filter_2d(img, kern)
         points = [(x, y) for y in range(24) for x in range(30)]
-        got = filter_at(img, kern, points)
-        np.testing.assert_array_equal(got, full[tuple(zip(*[(y, x) for x, y in points]))])
+        for img in (rng.random((24, 30)), rng.random((24, 30), dtype=np.float32)):
+            full = separable_filter_2d(img, kern)
+            got = filter_at(img, kern, points)
+            assert got.dtype == img.dtype
+            np.testing.assert_array_equal(
+                got, full[tuple(zip(*[(y, x) for x, y in points]))]
+            )
 
     def test_constant_center(self):
         img = np.full((33, 33), 0.5)
@@ -207,11 +256,12 @@ class TestFilterAt:
         rng = np.random.default_rng(41)
         img = rng.random((64, 64))
         kern = table_kernel(4, 4.0)
-        full = separable_filter_2d(img, kern)
         pts = [(int(rng.integers(64)), int(rng.integers(64))) for _ in range(16)]
-        got = filter_at(img, kern, pts)
-        for value, (x, y) in zip(got, pts):
-            assert value == full[y, x]  # bit-exact
+        for a in (img, img.astype(np.float32)):
+            full = separable_filter_2d(a, kern)
+            got = filter_at(a, kern, pts)
+            for value, (x, y) in zip(got, pts):
+                assert value == full[y, x]  # bit-exact
 
     def test_duplicates_and_corners_keep_order(self):
         rng = np.random.default_rng(43)
@@ -246,8 +296,16 @@ def _slice_kernels(st, max_radius):
     ).map(lambda rw: SliceKernel(rw[0], rw[1][: len(rw[0])]).normalized())
 
 
+# Bound on the error of a float32 filter against the float64 dense filter
+# of the same input, per unit of the largest running sum it builds (n + P
+# samples in [0, 1]).  Over 3000 random shapes and kernels like the ones
+# drawn below the error stayed below 0.4 float32 epsilons per unit.
+F32_TOL = 4 * np.finfo(np.float32).eps
+
+
 class TestProperties:
-    """Fast paths against dense oracles on drawn shapes and kernels."""
+    """Fast paths against dense oracles on drawn shapes and kernels; each
+    draw is filtered in float64 and in float32."""
 
     def test_2d_matches_dense_and_filter_at_is_exact(self):
         hyp = pytest.importorskip("hypothesis")
@@ -273,6 +331,16 @@ class TestProperties:
             got = filter_at(img, kern, pts)
             np.testing.assert_array_equal(got, [fast[y, x] for x, y in pts])
 
+            img32 = img.astype(np.float32)
+            fast32 = separable_filter_2d(img32, kern)
+            dense = dense_separable_2d(img32.astype(np.float64), kern.dense())
+            tol = F32_TOL * (max(h, w) + kern.max_radius)
+            assert fast32.dtype == np.float32
+            assert np.abs(fast32 - dense).max() <= tol
+            got = filter_at(img32, kern, pts)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, [fast32[y, x] for x, y in pts])
+
         check()
 
     def test_1d_matches_dense_from_length_1(self):
@@ -290,25 +358,39 @@ class TestProperties:
             dense = direct_convolve_1d(sig, kern.dense(), "replicate")
             assert np.abs(fast - dense).max() <= 1e-10
 
+            sig32 = sig.astype(np.float32)
+            fast32 = slice_filter_1d(sig32, kern)
+            dense = direct_convolve_1d(sig32.astype(np.float64), kern.dense(), "replicate")
+            assert fast32.dtype == np.float32
+            assert np.abs(fast32 - dense).max() <= F32_TOL * (n + kern.max_radius)
+
         check()
 
-    # 40 float64 values per block: every row wider than 20 is a block of its
-    # own, and narrower images span blocks of several rows with a partial
-    # last block.
+    # 320 bytes per block, 40 float64 or 80 float32 values: every row wider
+    # than 20 (float64) or 40 (float32) is a block of its own, and narrower
+    # images span blocks of several rows with a partial last block.
+    @staticmethod
+    def _small_blocks(monkeypatch):
+        monkeypatch.setattr(filtering, "_BLOCK", 320)
+        assert filtering._block_rows(7, 15, np.float64) == 2
+        assert filtering._block_rows(7, 15, np.float32) == 5
+        assert filtering._block_rows(7, 41, np.float32) == 1
+
     def test_2d_with_small_blocks(self, monkeypatch):
-        monkeypatch.setattr(filtering, "_BLOCK", 40)
+        self._small_blocks(monkeypatch)
         self.test_2d_matches_dense_and_filter_at_is_exact()
 
     def test_1d_with_small_blocks(self, monkeypatch):
-        monkeypatch.setattr(filtering, "_BLOCK", 40)
+        self._small_blocks(monkeypatch)
         self.test_1d_matches_dense_from_length_1()
 
 
 @pytest.mark.parametrize("shape", [(1,), (3, 5), (32, 1024), (7, 3, 2)])
 def test_buffers_start_on_a_cache_line(shape):
-    buf = filtering._empty(shape)
-    assert buf.shape == shape and buf.flags.c_contiguous
-    assert buf.ctypes.data % 64 == 0
+    for dtype in (np.float64, np.float32, np.uint8):
+        buf = filtering._empty(shape, dtype)
+        assert buf.shape == shape and buf.dtype == dtype and buf.flags.c_contiguous
+        assert buf.ctypes.data % 64 == 0
 
 
 class TestMemory:
@@ -329,13 +411,15 @@ class TestMemory:
 
     def test_separable_filter_2d(self, image):
         kern = table_kernel(3, 50.0)
-        peak = self._peak(lambda: separable_filter_2d(image, kern))
-        # the output and the extended column running sum, (h + 2P + 1) rows
-        assert peak < 2.5 * image.nbytes
+        for img in (image, image.astype(np.float32)):
+            peak = self._peak(lambda: separable_filter_2d(img, kern))
+            # the output and the extended column running sum, (h + 2P + 1) rows
+            assert peak < 2.5 * img.nbytes
 
     def test_filter_at(self, image):
         kern = table_kernel(3, 50.0)
         rng = np.random.default_rng(8)
         pts = [(int(x), int(y)) for x, y in rng.integers(0, 1024, size=(64, 2))]
-        peak = self._peak(lambda: filter_at(image, kern, pts))
-        assert peak < 0.5 * image.nbytes
+        for img in (image, image.astype(np.float32)):
+            peak = self._peak(lambda: filter_at(img, kern, pts))
+            assert peak < 0.5 * img.nbytes

@@ -1,6 +1,7 @@
 """Tests for the dense reference convolutions, metrics and op counting."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -77,6 +78,11 @@ class TestExactGaussian2D:
             exact_gaussian_2d(np.zeros((4, 4)), 0.0)
         for sigma in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"sigma .* {sigma}"):
+                gaussian_taps(sigma)
+
+    def test_sigma_overflowing_int64_radius(self):
+        for sigma in (1e300, 3e18, 1.7976931348623157e308):
+            with pytest.raises(ValueError, match=re.escape(f"sigma {sigma!r} is too large")):
                 gaussian_taps(sigma)
 
     def test_impulse_against_full_2d_loop(self):

@@ -1,0 +1,119 @@
+"""Record one point of the benchmark trajectory as ``BENCH_<label>.json``.
+
+Usage (from the repository root):
+
+    python3 tools/record_bench.py --label NAME [--checkout DIR]
+
+Runs ``perfbench/run.py`` of the checkout (default: this repository) for
+25 s once for every workload that ``BENCHMARK.json`` lists and each of the
+seeds 1, 2 and 3, one run at a time, and keeps the JSON result line each
+run prints.  It then times
+``separable_filter_2d`` of the checkout in-process at 512², 1024² and 2048²,
+sigma 5 and 50, k=3, for float64 and float32 inputs (a checkout that
+filters everything in float64 converts the float32 ones).  Everything,
+with the machine facts that run.py prints, goes to ``BENCH_<label>.json``
+in the root of this repository.  Nothing under ``perfbench/`` is changed.
+
+Benchmark another commit by pointing ``--checkout`` at an export of it,
+e.g. ``git archive <commit> | tar -x -C /tmp/base``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# the same seeds and run length for every label, so the files compare
+SEEDS = (1, 2, 3)
+SECONDS = 25.0
+
+# Run in a fresh interpreter with the checkout's src/ first on sys.path:
+# median wall time of 15 calls of separable_filter_2d at sigma 5 and 50,
+# interleaved so that a drift in machine load hits both sigmas alike.
+RATIO_SCRIPT = r"""
+import json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from sliceblur import approx
+from sliceblur.filtering import separable_filter_2d
+from sliceblur.synth import make_image
+
+rows = []
+for n in (512, 1024, 2048):
+    image = make_image("one-over-f", n, n, seed=42)
+    kernels = {s: approx.gaussian_kernel(s, 3) for s in (5.0, 50.0)}
+    for dtype in ("float64", "float32"):
+        img = image.astype(dtype)
+        times = {s: [] for s in kernels}
+        for _ in range(15):
+            for s, kern in kernels.items():
+                out = None  # free the previous output before the next call
+                t0 = time.perf_counter_ns()
+                out = separable_filter_2d(img, kern)
+                times[s].append(time.perf_counter_ns() - t0)
+        ms = {s: statistics.median(t) / 1e6 for s, t in times.items()}
+        rows.append({
+            "size": n, "input_dtype": dtype, "output_dtype": out.dtype.name,
+            "ms_sigma5": ms[5.0], "ms_sigma50": ms[50.0],
+            "ratio_50_5": ms[50.0] / ms[5.0],
+        })
+print(json.dumps(rows))
+"""
+
+
+def workloads() -> list[str]:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]]
+
+
+def run_one(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
+    """(machine facts, result) of one run.py run."""
+    cmd = [
+        sys.executable, str(checkout / "perfbench" / "run.py"),
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", repr(SECONDS), "--trace", "0",
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=checkout)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} failed:\n{proc.stderr}")
+    lines = proc.stdout.splitlines()
+    machine = next(line for line in lines if line.startswith("machine "))
+    return json.loads(machine.removeprefix("machine ")), json.loads(lines[-1])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--checkout", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    checkout = args.checkout.resolve()
+
+    runs, machine = [], None
+    for workload in workloads():
+        for seed in SEEDS:
+            machine, result = run_one(checkout, workload, seed)
+            runs.append({"workload": workload, "seed": seed, "result": result})
+            print(f"{workload} seed {seed}: " + json.dumps(result["metrics"]), flush=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", RATIO_SCRIPT, str(checkout / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    record = {
+        "label": args.label,
+        "command": ["python3", "perfbench/run.py", "--seconds", SECONDS, "--trace", 0],
+        "machine": machine,
+        "runs": runs,
+        "sigma_ratio": json.loads(proc.stdout),
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
