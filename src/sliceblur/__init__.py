@@ -29,6 +29,7 @@ from .filtering import filter_at, separable_filter_2d, slice_filter_1d
 from .oracle import (
     OpCounter,
     count_ops,
+    dense_separable_2d,
     direct_convolve_1d,
     exact_gaussian_2d,
     mse,
@@ -44,6 +45,7 @@ __all__ = [
     "SliceKernel",
     "build_autocorr",
     "count_ops",
+    "dense_separable_2d",
     "direct_convolve_1d",
     "exact_gaussian_2d",
     "filter_at",

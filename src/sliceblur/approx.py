@@ -28,7 +28,7 @@ import numpy as np
 
 
 class DegeneratePartitionError(ValueError):
-    """The interval basis is singular (duplicate or empty intervals)."""
+    """Breakpoints that leave an interval empty: a singular basis."""
 
 
 @dataclass(frozen=True)
@@ -195,23 +195,13 @@ def quadratic_error(
     return float(d @ model.matrix @ d)
 
 
-def _interval_edges(breakpoints: np.ndarray) -> np.ndarray:
-    """Half-open row ranges [e_i, e_{i+1}) of the interval basis columns."""
-    return np.concatenate(([0], np.asarray(breakpoints) + 1))
-
-
-def _basis(breakpoints: np.ndarray, n: int) -> np.ndarray:
-    """0/1 indicator matrix B with column i covering offsets of interval i."""
-    edges = _interval_edges(breakpoints)
-    t = np.arange(n)
-    return (
-        (t[:, None] >= edges[:-1][None, :]) & (t[:, None] < edges[1:][None, :])
-    ).astype(np.float64)
-
-
 def partition_profile(partition: Partition, n: int) -> np.ndarray:
-    """Dense half-kernel values implied by a partition (zero past p_k)."""
-    return _basis(partition.breakpoints, n) @ partition.constants
+    """Dense half-kernel values implied by a partition (zero past p_k):
+    constant i on every offset of interval i."""
+    p = partition.breakpoints
+    profile = np.zeros(max(n, p[-1] + 1))
+    profile[: p[-1] + 1] = np.repeat(partition.constants, np.diff(p, prepend=-1))
+    return profile[:n]
 
 
 def optimal_constants(
@@ -220,21 +210,28 @@ def optimal_constants(
     """Solve for the E2-minimizing constants of a fixed breakpoint set.
 
     Normal equations of the quadratic form restricted to the interval basis:
-    c = (B^T A B)^{-1} B^T A w.
+    c = (B^T A B)^{-1} B^T A w, solved by :func:`_batch_best`.
     """
     p = np.asarray(breakpoints, dtype=np.int64)
     w = target.values
     if model.dim != w.size:
         raise ValueError("target and model dimensions must agree")
-    if p.size and p[-1] > target.radius:
+    if p.ndim != 1 or p.size == 0 or p[0] < 1 or np.any(np.diff(p) <= 0):
+        raise DegeneratePartitionError("breakpoints must be strictly increasing and >= 1")
+    if p[-1] > target.radius:
         raise ValueError("breakpoints exceed the kernel support")
-    b = _basis(p, w.size)
-    g = b.T @ model.matrix @ b
-    rhs = b.T @ (model.matrix @ w)
-    if np.linalg.cond(g) > 1e12:
-        raise DegeneratePartitionError("singular interval basis")
-    c = np.linalg.solve(g, rhs)
+    _, c, _ = _batch_best(p[None, :], *_sum_tables(w, model))
     return Partition(p, c)
+
+
+def _sum_tables(w: np.ndarray, model: AutocorrModel):
+    """The ``sat``, ``q_cum`` and ``w_a_w`` of :func:`_batch_best`."""
+    a = model.matrix
+    sat = np.zeros((w.size + 1, w.size + 1))
+    sat[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
+    q = a @ w
+    q_cum = np.concatenate(([0.0], np.cumsum(q)))
+    return sat, q_cum, float(w @ q)
 
 
 def _batch_best(
@@ -288,12 +285,7 @@ def search_partitions(
     if k > r:
         raise ValueError("more constants than admissible breakpoints")
 
-    a = model.matrix
-    sat = np.zeros((w.size + 1, w.size + 1))
-    sat[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
-    q = a @ w
-    q_cum = np.concatenate(([0.0], np.cumsum(q)))
-    w_a_w = float(w @ q)
+    sat, q_cum, w_a_w = _sum_tables(w, model)
 
     grid = range(1, r + 1, 4)
     if k <= 3 or len(grid) < k:

@@ -15,24 +15,13 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import approx, oracle, params, pgm, synth
 from .filtering import separable_filter_2d
-
-CSV_HEADER = [
-    "method",
-    "k",
-    "sigma",
-    "image_id",
-    "wall_time_ns",
-    "psnr_db",
-    "adds_per_px",
-    "muls_per_px",
-]
 
 
 @dataclass(frozen=True)
@@ -57,6 +46,9 @@ class BenchRecord:
             repr(self.adds_per_px),
             repr(self.muls_per_px),
         ]
+
+
+CSV_HEADER = [f.name for f in fields(BenchRecord)]
 
 
 def cmd_filter(args) -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import SliceKernel
+from .filtering import _block_rows, _empty
 
 #: PSNR reported for identical images (MSE = 0).
 PSNR_INF = math.inf
@@ -36,22 +37,51 @@ class OpCounter:
         return self.multiplications / self.pixels
 
 
-def direct_convolve_1d(signal, dense_kernel, boundary: str = "replicate") -> np.ndarray:
-    """Dense centered correlation: out[x] = sum_j kern[j+r] * f(x+j).
+def _correlate(a: np.ndarray, dense_kernel, axis: int) -> np.ndarray:
+    """Correlate the rows (``axis`` 1) or columns (``axis`` 0) of a 2D
+    float64 array with an odd-length kernel, replicate boundary.
 
-    ``boundary`` is "replicate" (clamp) or "zero".
+    The output is built a cache-sized block of rows at a time
+    (``filtering._block_rows``); each tap adds its product into the zeroed
+    block in index order, so no result depends on the block size.  The
+    column pass reads contiguous row windows, with no transpose.
     """
-    signal = np.asarray(signal, dtype=np.float64)
-    kernel = np.asarray(dense_kernel, dtype=np.float64)
-    if kernel.ndim != 1 or kernel.size % 2 == 0:
+    taps = np.asarray(dense_kernel, dtype=np.float64)
+    if taps.ndim != 1 or taps.size % 2 == 0:
         raise ValueError("dense kernel must be 1D and odd-length")
-    if boundary not in ("replicate", "zero"):
-        raise ValueError(f"unknown boundary policy: {boundary}")
-    r = kernel.size // 2
-    mode = "edge" if boundary == "replicate" else "constant"
-    padded = np.pad(signal, r, mode=mode)
-    # np.convolve flips its kernel; flip back to get correlation
-    return np.convolve(padded, kernel[::-1], mode="valid")
+    r = taps.size // 2
+    h, w = a.shape
+    pad = ((0, 0), (r, r)) if axis else ((r, r), (0, 0))
+    padded = np.pad(a, pad, mode="edge")
+    out = np.zeros_like(a)
+    step = _block_rows(h, padded.shape[1], a.dtype)
+    tmp = _empty((step, w), a.dtype)
+    for y0 in range(0, h, step):
+        y1 = min(y0 + step, h)
+        block, term = out[y0:y1], tmp[: y1 - y0]
+        for j, c in enumerate(taps):
+            window = padded[y0:y1, j : j + w] if axis else padded[y0 + j : y1 + j]
+            np.multiply(window, c, out=term)
+            block += term
+    return out
+
+
+def direct_convolve_1d(signal, dense_kernel) -> np.ndarray:
+    """Dense centered correlation, replicate boundary:
+    out[x] = sum_j kern[j+r] * f(x+j), f clamped at the ends."""
+    signal = np.asarray(signal, dtype=np.float64)
+    if signal.ndim != 1:
+        raise ValueError("need a 1D signal")
+    return _correlate(signal[None, :], dense_kernel, 1)[0]
+
+
+def dense_separable_2d(image, dense_kernel) -> np.ndarray:
+    """Reference separable filter for any odd-length dense kernel: every
+    row, then every column, correlated with it, replicate boundary."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim != 2:
+        raise ValueError("need a 2D image")
+    return _correlate(_correlate(image, dense_kernel, 1), dense_kernel, 0)
 
 
 def gaussian_taps(sigma: float) -> np.ndarray:
@@ -67,22 +97,9 @@ def gaussian_taps(sigma: float) -> np.ndarray:
 
 
 def exact_gaussian_2d(image, sigma: float) -> np.ndarray:
-    """Reference Gaussian filtering: dense separable, replicate boundary."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ValueError("need a 2D image")
-    taps = gaussian_taps(sigma)
-    r = taps.size // 2
-
-    def one_pass(arr):
-        n = arr.shape[1]
-        padded = np.pad(arr, ((0, 0), (r, r)), mode="edge")
-        out = np.zeros_like(arr)
-        for j in range(taps.size):
-            out += taps[j] * padded[:, j : j + n]
-        return out
-
-    return one_pass(one_pass(image).T).T
+    """Reference Gaussian filtering: :func:`dense_separable_2d` with the
+    taps of :func:`gaussian_taps`."""
+    return dense_separable_2d(image, gaussian_taps(sigma))
 
 
 def mse(a, b) -> float:

@@ -56,18 +56,13 @@ def test_criterion_1_oracle_equivalence():
         kern = _random_kernel(rng, n)
         sig = rng.random(n)
         fast = slice_filter_1d(sig, kern)
-        dense = direct_convolve_1d(sig, kern.dense(), "replicate")
+        dense = direct_convolve_1d(sig, kern.dense())
         ok &= bool(np.abs(fast - dense).max() <= 1e-10)
     for _ in range(50):
         img = rng.random((64, 64))
         kern = _random_kernel(rng, 64)
         fast = separable_filter_2d(img, kern)
-        rows = np.apply_along_axis(
-            lambda r: direct_convolve_1d(r, kern.dense()), 1, img
-        )
-        dense = np.apply_along_axis(
-            lambda c: direct_convolve_1d(c, kern.dense()), 0, rows
-        )
+        dense = oracle.dense_separable_2d(img, kern.dense())
         ok &= bool(np.abs(fast - dense).max() <= 1e-9)
     ok &= (time.perf_counter() - start) < 30.0
     _report(1, "oracle equivalence", ok)

@@ -33,29 +33,16 @@ class TestDirectConvolve1D:
         with pytest.raises(ValueError):
             direct_convolve_1d(np.zeros(10), [0.5, 0.5])
 
-    def test_unknown_boundary(self):
-        with pytest.raises(ValueError):
-            direct_convolve_1d(np.zeros(10), [1.0], boundary="mirror")
-
-    @pytest.mark.parametrize("boundary", ["replicate", "zero"])
-    def test_double_loop_oracle(self, boundary):
+    def test_double_loop_oracle(self):
         rng = np.random.default_rng(2)
         sig = rng.standard_normal(25)
         kern = rng.standard_normal(7)
-        got = direct_convolve_1d(sig, kern, boundary)
+        got = direct_convolve_1d(sig, kern)
         n, r = sig.size, 3
-
-        def f_ext(x):
-            if 0 <= x < n:
-                return sig[x]
-            if boundary == "zero":
-                return 0.0
-            return sig[0] if x < 0 else sig[n - 1]
-
         for x in range(n):
             acc = 0.0
             for j in range(-r, r + 1):
-                acc += kern[j + r] * f_ext(x + j)
+                acc += kern[j + r] * sig[min(max(x + j, 0), n - 1)]
             assert got[x] == pytest.approx(acc, abs=1e-12)
 
 
@@ -86,22 +73,36 @@ class TestExactGaussian2D:
                 gaussian_taps(sigma)
 
     def test_impulse_against_full_2d_loop(self):
-        img = np.zeros((32, 32))
-        img[16, 16] = 1.0
-        sigma = 3.0
-        out = exact_gaussian_2d(img, sigma)
-        taps = gaussian_taps(sigma)
-        r = taps.size // 2
-        assert out[16, 16] == pytest.approx(taps[r] ** 2, rel=1e-12)
-        # non-separable oracle: explicit 2D loop over the outer product
-        kern2d = np.outer(taps, taps)
-        padded = np.pad(img, r, mode="edge")
-        for y in range(0, 32, 5):
-            for x in range(0, 32, 5):
-                expected = np.sum(
-                    kern2d * padded[y : y + 2 * r + 1, x : x + 2 * r + 1]
-                )
-                assert out[y, x] == pytest.approx(expected, abs=1e-13)
+        # 32x32 is wider than the radius 10; 7x40 and 40x7 are narrower
+        # than the radius 13 along one axis
+        for (h, w), sigma in (((32, 32), 3.0), ((7, 40), 4.0), ((40, 7), 4.0)):
+            img = np.zeros((h, w))
+            img[h // 2, w // 2] = 1.0
+            out = exact_gaussian_2d(img, sigma)
+            taps = gaussian_taps(sigma)
+            r = taps.size // 2
+            if min(h, w) > 2 * r:
+                assert out[h // 2, w // 2] == pytest.approx(taps[r] ** 2, rel=1e-12)
+            # non-separable oracle: explicit 2D loop over the outer product
+            kern2d = np.outer(taps, taps)
+            padded = np.pad(img, r, mode="edge")
+            for y in range(0, h, 3):
+                for x in range(0, w, 3):
+                    expected = np.sum(
+                        kern2d * padded[y : y + 2 * r + 1, x : x + 2 * r + 1]
+                    )
+                    assert out[y, x] == pytest.approx(expected, abs=1e-13)
+
+    def test_block_size_does_not_change_a_bit(self, monkeypatch):
+        # 320-byte blocks: 3 rows per block in the row pass (radius 2, so
+        # padded rows of 12) and 5 in the column pass, each with a partial
+        # last block (34 = 11 * 3 + 1 = 6 * 5 + 4)
+        img = np.random.default_rng(5).random((34, 8))
+        expected = exact_gaussian_2d(img, 0.5)
+        monkeypatch.setattr(filtering, "_BLOCK", 320)
+        assert filtering._block_rows(34, 8 + 2 * 2, np.float64) == 3
+        assert filtering._block_rows(34, 8, np.float64) == 5
+        assert exact_gaussian_2d(img, 0.5).tobytes() == expected.tobytes()
 
     def test_truncation_captures_gaussian_mass(self):
         # radius ceil(pi * sigma) keeps all but ~1.7e-3 of the mass; the
