@@ -10,8 +10,6 @@ minimized.
 """
 
 from .approx import (
-    AutocorrModel,
-    DegeneratePartitionError,
     Partition,
     SampledKernel,
     SliceKernel,
@@ -37,8 +35,6 @@ from .oracle import (
 )
 
 __all__ = [
-    "AutocorrModel",
-    "DegeneratePartitionError",
     "OpCounter",
     "Partition",
     "SampledKernel",

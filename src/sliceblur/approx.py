@@ -22,13 +22,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-class DegeneratePartitionError(ValueError):
-    """Breakpoints that leave an interval empty: a singular basis."""
 
 
 @dataclass(frozen=True)
@@ -36,7 +32,6 @@ class SampledKernel:
     """Half-kernel samples at integer offsets 0..n-1, peak first."""
 
     values: np.ndarray
-    sigma0: float
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
@@ -44,8 +39,6 @@ class SampledKernel:
             raise ValueError("need at least 2 half-kernel samples")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("half-kernel samples must be finite")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
 
     @property
     def radius(self) -> int:
@@ -127,18 +120,6 @@ class SliceKernel:
         return (self.weights[None, :] * (t[:, None] <= self.radii[None, :])).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class AutocorrModel:
-    """Toeplitz matrix A[j, k] = Phi_{|j-k|} of the pixel-pair correlation
-    on offsets 0..r."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def sample_gaussian(sigma0: float, n: int) -> SampledKernel:
     """Sample the Gaussian half-kernel at offsets 0..n-1.
 
@@ -152,15 +133,20 @@ def sample_gaussian(sigma0: float, n: int) -> SampledKernel:
     t = np.arange(n, dtype=np.float64)
     v = np.exp(-(t * t) / (2.0 * sigma0 * sigma0))
     v /= v[0] + 2.0 * v[1:].sum()
-    return SampledKernel(v, sigma0)
+    return SampledKernel(v)
 
 
-def build_autocorr(r: int, dc_value: float = 16.5) -> AutocorrModel:
-    """Build the natural-image autocorrelation model of offset range [-r, r].
+# the value of the 1/u^2 power spectrum at the undefined zero frequency
+_DC_VALUE = 16.5
+
+
+def build_autocorr(r: int) -> np.ndarray:
+    """The natural-image autocorrelation model of offset range [-r, r].
 
     The power spectrum 1/u^2 is discretized on 2r+1 integer frequencies with
-    the undefined zero frequency set to ``dc_value``; Phi is its real inverse
-    DFT and the matrix collects A[j, k] = Phi_{j-k} for j, k in 0..r.
+    the undefined zero frequency set to ``_DC_VALUE``; Phi is its real
+    inverse DFT, and the (r+1) x (r+1) Toeplitz matrix A[j, k] = Phi_{|j-k|}
+    for j, k in 0..r is the model.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -168,31 +154,32 @@ def build_autocorr(r: int, dc_value: float = 16.5) -> AutocorrModel:
     m = np.arange(n)
     u = np.minimum(m, n - m).astype(np.float64)  # signed frequency magnitude
     spectrum = np.empty(n)
-    spectrum[0] = dc_value
+    spectrum[0] = _DC_VALUE
     spectrum[1:] = 1.0 / (u[1:] * u[1:])
     # the non-negative lags only, so the even symmetry is exact
     half = np.fft.ifft(spectrum).real[: r + 1]
     idx = np.abs(np.subtract.outer(np.arange(r + 1), np.arange(r + 1)))
-    return AutocorrModel(half[idx])  # Phi_{|j-k|}, |j-k| <= r
+    return half[idx]  # Phi_{|j-k|}, |j-k| <= r
 
 
-def identity_model(r: int) -> AutocorrModel:
+def identity_model(r: int) -> np.ndarray:
     """Uncorrelated-pixel model: A = I, so E2 is the plain l2 kernel error."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return AutocorrModel(np.eye(r + 1))
+    return np.eye(r + 1)
 
 
 def quadratic_error(
-    target: SampledKernel, approx_weights, model: AutocorrModel
+    target: SampledKernel, approx_weights, model: np.ndarray
 ) -> float:
-    """E2 = (w - w_hat)^T A (w - w_hat) on the half-kernel samples."""
+    """E2 = (w - w_hat)^T A (w - w_hat) on the half-kernel samples, where
+    the model A is an (r+1) x (r+1) matrix."""
     w = target.values
     w_hat = np.asarray(approx_weights, dtype=np.float64)
-    if w_hat.shape != w.shape or model.dim != w.size:
+    if w_hat.shape != w.shape or model.shape != (w.size, w.size):
         raise ValueError("target, approximation and model dimensions must agree")
     d = w - w_hat
-    return float(d @ model.matrix @ d)
+    return float(d @ model @ d)
 
 
 def partition_profile(partition: Partition, n: int) -> np.ndarray:
@@ -205,7 +192,7 @@ def partition_profile(partition: Partition, n: int) -> np.ndarray:
 
 
 def optimal_constants(
-    target: SampledKernel, breakpoints, model: AutocorrModel
+    target: SampledKernel, breakpoints, model: np.ndarray
 ) -> Partition:
     """Solve for the E2-minimizing constants of a fixed breakpoint set.
 
@@ -213,20 +200,19 @@ def optimal_constants(
     c = (B^T A B)^{-1} B^T A w, solved by :func:`_batch_best`.
     """
     p = np.asarray(breakpoints, dtype=np.int64)
-    w = target.values
-    if model.dim != w.size:
-        raise ValueError("target and model dimensions must agree")
     if p.ndim != 1 or p.size == 0 or p[0] < 1 or np.any(np.diff(p) <= 0):
-        raise DegeneratePartitionError("breakpoints must be strictly increasing and >= 1")
+        raise ValueError("breakpoints must be strictly increasing and >= 1")
     if p[-1] > target.radius:
         raise ValueError("breakpoints exceed the kernel support")
-    _, c, _ = _batch_best(p[None, :], *_sum_tables(w, model))
+    _, c, _ = _batch_best(p[None, :], *_sum_tables(target.values, model))
     return Partition(p, c)
 
 
-def _sum_tables(w: np.ndarray, model: AutocorrModel):
-    """The ``sat``, ``q_cum`` and ``w_a_w`` of :func:`_batch_best`."""
-    a = model.matrix
+def _sum_tables(w: np.ndarray, a: np.ndarray):
+    """The ``sat``, ``q_cum`` and ``w_a_w`` of :func:`_batch_best` for the
+    target samples ``w`` and the model matrix ``a``."""
+    if a.shape != (w.size, w.size):
+        raise ValueError("target and model dimensions must agree")
     sat = np.zeros((w.size + 1, w.size + 1))
     sat[1:, 1:] = np.cumsum(np.cumsum(a, axis=0), axis=1)
     q = a @ w
@@ -265,7 +251,7 @@ def _batch_best(
 
 
 def search_partitions(
-    target: SampledKernel, k: int, model: AutocorrModel
+    target: SampledKernel, k: int, model: np.ndarray
 ) -> Partition:
     """Find the E2-minimizing partition with k constants.
 
@@ -278,14 +264,11 @@ def search_partitions(
     """
     if not 1 <= k <= 5:
         raise ValueError("k must be in [1, 5]")
-    w = target.values
-    if model.dim != w.size:
-        raise ValueError("target and model dimensions must agree")
     r = target.radius
     if k > r:
         raise ValueError("more constants than admissible breakpoints")
 
-    sat, q_cum, w_a_w = _sum_tables(w, model)
+    sat, q_cum, w_a_w = _sum_tables(target.values, model)
 
     grid = range(1, r + 1, 4)
     if k <= 3 or len(grid) < k:

@@ -8,9 +8,8 @@ import pytest
 
 from sliceblur.approx import (
     SIGMA0,
-    AutocorrModel,
-    DegeneratePartitionError,
     Partition,
+    SampledKernel,
     SliceKernel,
     build_autocorr,
     gaussian_kernel,
@@ -29,10 +28,6 @@ from sliceblur.approx import (
 def _random_spd(rng, n):
     b = rng.standard_normal((n, n))
     return b @ b.T + n * np.eye(n)
-
-
-def _model_from_matrix(matrix):
-    return AutocorrModel(matrix)
 
 
 class TestSampleGaussian:
@@ -71,39 +66,39 @@ class TestBuildAutocorr:
         # Phi_{j-k} = Phi_{k-j} exactly
         for r in (1, 4, 17, 100):
             m = build_autocorr(r)
-            assert np.array_equal(m.matrix, m.matrix.T)
+            assert np.array_equal(m, m.T)
 
     def test_dc_ratio(self):
-        m = build_autocorr(100, 16.5)
-        ratio = m.matrix[0, 0] / m.matrix[0, 100]  # Phi_0 / Phi_100
+        m = build_autocorr(100)
+        ratio = m[0, 0] / m[0, 100]  # Phi_0 / Phi_100
         assert abs(ratio - 4.0 / 3.0) / (4.0 / 3.0) < 0.05
 
     def test_brute_force_inverse_dft(self):
         # independent oracle: explicit cosine sum over the signed frequencies
         r = 4
         n = 2 * r + 1
-        m = build_autocorr(r, 16.5)
+        m = build_autocorr(r)
         for j in range(-r, r + 1):
             acc = 0.0
             for u in range(-r, r + 1):
                 s = 16.5 if u == 0 else 1.0 / (u * u)
                 acc += s * math.cos(2.0 * math.pi * u * j / n)
             acc /= n
-            assert m.matrix[0, abs(j)] == pytest.approx(acc, abs=1e-12)
+            assert m[0, abs(j)] == pytest.approx(acc, abs=1e-12)
 
     def test_positive_semidefinite(self):
         for r in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200):
             m = build_autocorr(r)
-            eig = np.linalg.eigvalsh(m.matrix)
-            assert eig.min() >= -1e-9 * np.trace(m.matrix)
+            eig = np.linalg.eigvalsh(m)
+            assert eig.min() >= -1e-9 * np.trace(m)
 
     def test_matrix_is_toeplitz_of_phi(self):
         # every entry is Phi_{|j-k|}, read off the first row
         m = build_autocorr(6)
-        assert m.dim == 7
+        assert isinstance(m, np.ndarray) and m.shape == (7, 7)
         for j in range(7):
             for k in range(7):
-                assert m.matrix[j, k] == m.matrix[0, abs(j - k)]
+                assert m[j, k] == m[0, abs(j - k)]
 
 
 class TestQuadraticError:
@@ -125,7 +120,7 @@ class TestQuadraticError:
         a = _random_spd(rng, 5)
         t = sample_gaussian(2.0, 5)
         w_hat = rng.standard_normal(5)
-        got = quadratic_error(t, w_hat, _model_from_matrix(a))
+        got = quadratic_error(t, w_hat, a)
         acc = 0.0
         for j in range(5):
             for k in range(5):
@@ -138,20 +133,15 @@ class TestQuadraticError:
             quadratic_error(t, np.zeros(9), identity_model(9))
         with pytest.raises(ValueError):
             quadratic_error(t, np.zeros(10), identity_model(5))
-
-
-def _piecewise_target(breakpoints, constants, n):
-    values = partition_profile(Partition(breakpoints, constants), n)
-    values[0] = max(values[0], 1e-9)  # keep SampledKernel happy
-    return values
+        with pytest.raises(ValueError):
+            quadratic_error(t, np.zeros(10), np.eye(10)[:, :9])
 
 
 class TestOptimalConstants:
     def test_exact_recovery(self):
         n = 20
         values = partition_profile(Partition((5, 11, 19), (0.8, 0.5, 0.2)), n)
-        target = sample_gaussian(5.0, n)
-        target = type(target)(values, 5.0)
+        target = SampledKernel(values)
         part = optimal_constants(target, (5, 11, 19), identity_model(n - 1))
         np.testing.assert_allclose(part.constants, (0.8, 0.5, 0.2), atol=1e-12)
         e2 = quadratic_error(target, partition_profile(part, n), identity_model(n - 1))
@@ -168,11 +158,9 @@ class TestOptimalConstants:
         n = 10
         values = np.linspace(1.0, 0.1, n)
         values /= values[0] + 2 * values[1:].sum()
-        target = sample_gaussian(3.0, n)
-        target = type(target)(values, 3.0)
+        target = SampledKernel(values)
         a = _random_spd(rng, n)
-        model = _model_from_matrix(a)
-        part = optimal_constants(target, (4, 9), model)
+        part = optimal_constants(target, (4, 9), a)
 
         grid = np.arange(0.0, 0.35, 1e-3)
         c1, c2 = np.meshgrid(grid, grid, indexing="ij")
@@ -207,8 +195,12 @@ class TestOptimalConstants:
     def test_degenerate_partition(self):
         # the second interval of (3, 3) is empty, so the basis is singular
         target = sample_gaussian(3.0, 10)
-        with pytest.raises(DegeneratePartitionError):
+        with pytest.raises(ValueError, match="strictly increasing"):
             optimal_constants(target, (3, 3), build_autocorr(9))
+        # valid breakpoints, but a model of the wrong size
+        for model in (build_autocorr(8), identity_model(10), np.eye(10)[:, :9]):
+            with pytest.raises(ValueError, match="target and model dimensions"):
+                optimal_constants(target, (3, 9), model)
 
     def test_local_optimality(self):
         target = sample_gaussian(SIGMA0, 100)
@@ -231,11 +223,15 @@ class TestSearchPartitions:
         for k in (0, 6, -1):
             with pytest.raises(ValueError):
                 search_partitions(t, k, m)
+        # a model of the wrong size, with a valid k
+        for model in (build_autocorr(98), identity_model(100), np.eye(100)[:99]):
+            with pytest.raises(ValueError, match="target and model dimensions"):
+                search_partitions(t, 3, model)
 
     def test_recovers_exact_single_slice(self):
         n = 16
         values = partition_profile(Partition((9,), (0.05,)), n)
-        target = type(sample_gaussian(3.0, n))(values, 3.0)
+        target = SampledKernel(values)
         model = identity_model(n - 1)
         part = search_partitions(target, 1, model)
         assert part.breakpoints[0] == 9

@@ -468,6 +468,7 @@ class TestBenchCommand:
             for field in ("sigma", "adds_per_px", "muls_per_px"):
                 assert repr(float(r[field])) == r[field]
 
+    @pytest.mark.timing
     def test_sigma_ratio_and_psnr_order(self, tmp_path):
         # slice timing is sigma-independent; accuracy grows with k
         corpus = tmp_path / "corpus"

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sliceblur import filtering
+from sliceblur import filtering, oracle
 from sliceblur.approx import SliceKernel, gaussian_kernel
 from sliceblur.filtering import filter_at, separable_filter_2d, slice_filter_1d
 from sliceblur.oracle import (
@@ -278,6 +278,32 @@ class TestFilterAt:
             filter_at(np.zeros(shape), table_kernel(), [])
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("entry", [
+    lambda img, kern: slice_filter_1d(img[5], kern),
+    separable_filter_2d,
+    lambda img, kern: filter_at(img, kern, [(70, 60)]),
+], ids=["slice_filter_1d", "separable_filter_2d", "filter_at"])
+def test_rejects_non_finite_input(entry, dtype):
+    # a NaN or inf would reach every later running sum of its row (at (70,
+    # 60), far outside the radius-4 kernel around it), so it is refused
+    kern = table_kernel(3, 2.0)
+    image = np.random.default_rng(47).random((64, 80)).astype(dtype)
+    for pixels in ({10: np.nan}, {10: np.inf}, {10: -np.inf}, {10: np.inf, 20: -np.inf}):
+        img = image.copy()
+        for x, value in pixels.items():
+            img[5, x] = value
+        with pytest.raises(
+            ValueError, match=rf"^cannot filter {len(pixels)} non-finite pixel\(s\)"
+        ):
+            entry(img, kern)
+    # finite pixels whose row sum does not fit the dtype
+    img = image.copy()
+    img[5] = np.finfo(dtype).max / 4
+    with pytest.raises(ValueError, match=f"^cannot filter: a row sum overflows {img.dtype}"):
+        entry(img, kern)
+
+
 def _slice_kernels(st, max_radius):
     """Strategy: random unit-gain slice kernels with radii <= max_radius."""
     return st.tuples(
@@ -360,13 +386,16 @@ class TestProperties:
 
     # 320 bytes per block, 40 float64 or 80 float32 values: every row wider
     # than 20 (float64) or 40 (float32) is a block of its own, and narrower
-    # images span blocks of several rows with a partial last block.
+    # images span blocks of several rows with a partial last block.  The
+    # oracle's output does not depend on its blocks, so it keeps the one
+    # block of all rows that the default budget gives the images drawn here.
     @staticmethod
     def _small_blocks(monkeypatch):
         monkeypatch.setattr(filtering, "_BLOCK", 320)
         assert filtering._block_rows(7, 15, np.float64) == 2
         assert filtering._block_rows(7, 15, np.float32) == 5
         assert filtering._block_rows(7, 41, np.float32) == 1
+        monkeypatch.setattr(oracle, "_block_rows", lambda h, n, dtype: h)
 
     def test_2d_with_small_blocks(self, monkeypatch):
         self._small_blocks(monkeypatch)
