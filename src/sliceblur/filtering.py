@@ -24,39 +24,57 @@ error grows about linearly with n: on 8-bit 1/f images at sigma 2 the
 largest difference from the float64 result was 2.2e-5 at n = 1024,
 5.1e-5 at 2048 and 1.1e-4 at 4096, under 0.03 of an 8-bit step.
 
-A NaN or infinite pixel would spread through every later running sum of
-its row, so all three entry points reject one with a ``ValueError``
-(``_row_blocks``).
+Every running sum is checked before its slice terms are read: the two
+end entries of its clamp extension, I(-P-1) and I(n+P-1), must be finite
+(``_check_sums``).  The ramps are linear, so that bounds the whole
+extension, and a NaN or infinite pixel, or a sum that overflows, makes
+I(n+P-1) of its row or column non-finite.  All three entry points refuse
+such an input with a ``ValueError`` that counts the non-finite pixels, or
+else names the row or column sum that overflows.  Only the cumulative
+sums, the ramps and these checks run with numpy's overflow and invalid
+warnings off (in ``filter_at``, the streamed column pass as a whole).
 
-Both passes stream through blocks of about ``_BLOCK`` bytes, so that a
-block's running sum, its slice terms and its output stay in the L2 cache:
+``separable_filter_2d`` filters the columns first, then the rows of the
+result in place.  Both passes stream through blocks of about ``_BLOCK``
+bytes, so that a block's running sum, its slice terms and its output stay
+in the L2 cache:
 
-* The row pass takes the rows a block at a time, writes the block's
-  extended cumulative sum into one reused buffer and sums its slice terms
-  into the output rows.  The first term is written straight into them,
-  so a block takes 3k - 1 whole-block passes (k subtractions, k
-  multiplications, k - 1 accumulations) and no zero fill.  The number of
-  rows per block depends on the image width only, so the number of blocks
-  does not change with sigma.
-* The column pass needs I down every column.  ``separable_filter_2d``
-  writes the row pass's output into the middle of an image-sized extended
-  buffer and builds I there in place, adding each row's running sum into
-  the next row.  These are the additions of ``np.cumsum(axis=0)``, in the
+* The column pass (``_column_pass``) builds I down every column in an
+  (h + 2P + 1) x w extended buffer: a block of image rows is copied in,
+  and each of its rows gets the previous one added while the block is in
+  the cache.  These are the additions of ``np.cumsum(axis=0)``, in the
   same order, but each is one contiguous row add, where ``np.cumsum``
   walks every column with a whole row's stride and is several times
   slower.  The column slice terms are then summed into the output a block
-  of rows at a time, the same way.
+  of rows at a time, and the buffer is freed before the row pass starts.
+* The row pass (``_row_pass``) takes the rows a block at a time, writes
+  the block's extended cumulative sum into one reused buffer and sums its
+  slice terms into the output rows.  The first term is written straight
+  into them, so a block takes 3k - 1 whole-block passes (k subtractions,
+  k multiplications, k - 1 accumulations) and no zero fill.  The number of
+  rows per block depends on the image width only, so the number of blocks
+  does not change with sigma.
 
-``filter_at`` runs the same row blocks but keeps the row-filtered values
-only at the probed columns: per block, one ``np.take`` gathers the 2k
-running-sum columns every probed column's slice terms read into a reused
-buffer, and the terms are views of it.  It then filters those columns as
-the rows of their transpose, so it needs no image-sized buffer.
+``filter_at`` needs the column pass at the probed rows only.  It streams
+the same column running sum through one w-wide accumulator, one image row
+at a time, and works only at the 2k indices of I that each probed row's
+column slice terms read: there it keeps a copy of the accumulator, or
+closes a term into that row in ``_sum_slices``' order.  Indices outside
+the image come from the ramp formulas.  The row pass then runs on the
+probed rows alone, so the values are bit-identical to
+``separable_filter_2d``'s.  A call reads every pixel once, whatever sigma
+is, and holds the probed rows and the terms open at one time, not an
+image.  As it streams, it also sums every image row, a block at a time
+while the block is in the cache, so that an image row whose sum
+overflows is refused although no probe reads it.  (``separable_filter_2d``
+checks the running sums of the rows it filters, those of the
+column-filtered image, whose sums are weighted means of the input's.)
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -129,39 +147,140 @@ def _sum_slices(window, kernel: SliceKernel, out: np.ndarray, term: np.ndarray):
         out += term
 
 
+def _check_sums(a: np.ndarray, ends, what: str):
+    """Refuse ``a`` unless ``ends``, end entries of running sums over it,
+    are all finite; ``what`` names the sums, "row" or "column"."""
+    if not np.isfinite(ends).all():
+        bad = a.size - np.count_nonzero(np.isfinite(a))
+        if not bad:
+            raise ValueError(f"cannot filter: a {what} sum overflows {a.dtype}")
+        raise ValueError(f"cannot filter {bad} non-finite pixel(s) (NaN or inf)")
+
+
 def _row_blocks(a: np.ndarray, pad: int):
     """Yield ``(rows, e)`` for consecutive blocks of rows of the 2D ``a``:
     the slice of rows, and their cumulative sum along axis 1, clamp-extended
-    by ``pad``.  ``e`` is one buffer, overwritten for every block.
-
-    A NaN or infinite pixel, or a row sum that overflows, makes its row's
-    total I(n-1) non-finite, and raises ``ValueError``.  The cumulative sum
-    that finds it would warn first, so the pass, the caller's work on each
-    block included, runs with invalid and overflow warnings off."""
+    by ``pad`` and checked.  ``e`` is one buffer, overwritten for every
+    block."""
     h, n = a.shape
     step = _block_rows(h, n, a.dtype)
     buf = _empty((step, n + 2 * pad + 1), a.dtype)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for r0 in range(0, h, step):
-            block = a[r0 : r0 + step]
-            e = buf[: len(block)]
+    for r0 in range(0, h, step):
+        block = a[r0 : r0 + step]
+        e = buf[: len(block)]
+        with np.errstate(invalid="ignore", over="ignore"):
             np.cumsum(block, axis=1, out=e[:, pad + 1 : pad + 1 + n])
-            if not np.isfinite(e[:, pad + n]).all():
-                bad = a.size - np.count_nonzero(np.isfinite(a))
-                if not bad:
-                    raise ValueError(f"cannot filter: a row sum overflows {a.dtype}")
-                raise ValueError(f"cannot filter {bad} non-finite pixel(s) (NaN or inf)")
             _fill_ramps(e.T, block[:, 0], block[:, -1], pad)
-            yield slice(r0, r0 + len(block)), e
+        _check_sums(a, e[:, :: n + 2 * pad], "row")
+        yield slice(r0, r0 + len(block)), e
 
 
 def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray):
-    """Slice-filter every row of the 2D ``a`` into ``out``."""
+    """Slice-filter every row of the 2D ``a`` into ``out``, which may be
+    ``a`` itself."""
     h, n = a.shape
     term = _empty((_block_rows(h, n, a.dtype), n), a.dtype)
     for rows, e in _row_blocks(a, kernel.max_radius):
         o = out[rows]
         _sum_slices(lambda i: e[:, i : i + n], kernel, o, term[: len(o)])
+
+
+def _column_pass(image: np.ndarray, kernel: SliceKernel, out: np.ndarray):
+    """Slice-filter every column of the 2D ``image`` into ``out``."""
+    h, w = image.shape
+    pad = kernel.max_radius
+    ext = _empty((h + 2 * pad + 1, w), image.dtype)
+    mid = ext[pad + 1 : pad + 1 + h]
+    step = _block_rows(h, w, image.dtype)
+    # I down the columns: a block of rows is copied in, and each of its
+    # rows gets the previous one added while the block is in the cache
+    prev = mid[0]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for r0 in range(0, h, step):
+            rows = mid[r0 : r0 + step]
+            np.copyto(rows, image[r0 : r0 + step])
+            for cur in rows[1 if r0 == 0 else 0 :]:
+                cur += prev
+                prev = cur
+        _fill_ramps(ext, image[0], image[-1], pad)
+    _check_sums(image, ext[:: h + 2 * pad], "column")
+    term = _empty((step, w), image.dtype)
+    for r0 in range(0, h, step):
+        o = out[r0 : r0 + step]
+        nb = len(o)
+        _sum_slices(lambda i: ext[r0 + i : r0 + i + nb], kernel, o, term[:nb])
+
+
+def _column_pass_at(image: np.ndarray, kernel: SliceKernel, ys) -> np.ndarray:
+    """The rows ``ys`` (sorted, distinct) of ``_column_pass``'s output,
+    from one streamed column running sum; see the module docstring."""
+    h, w = image.shape
+    dtype = image.dtype
+    pad = kernel.max_radius
+    weights = kernel.weights.tolist()
+    # The term of slice i at row ys[r] reads I at lo = y - p_i - 1 (it opens
+    # there) and hi = y + p_i (it closes there).  Walking the indices in
+    # order, an open term holds a scratch row (a slot), freed when it
+    # closes; closing before opening at each index lets a slot be reused.
+    opens, closes = defaultdict(list), defaultdict(list)
+    for r, y in enumerate(ys):
+        for i, p in enumerate(kernel.radii.tolist()):
+            opens[y - p - 1].append((r, i))
+            closes[y + p].append((r, i))
+    events, slot, free = {}, {}, []
+    for j in sorted(opens.keys() | closes.keys()):
+        done = [(r, i, slot.pop((r, i))) for r, i in closes[j]]
+        free += [s for *_, s in done]
+        for t in opens[j]:
+            slot[t] = free.pop() if free else len(slot)
+        events[j] = done, [slot[t] for t in opens[j]]
+
+    out = _empty((len(ys), w), dtype)
+    stash = _empty((len(free), w), dtype)  # every slot is free at the end
+
+    def visit(j, value):
+        """Close and open the terms at index j, where I(j) is ``value``."""
+        done, new = events[j]
+        for r, i, s in done:
+            # the first term is written into the row, as in _sum_slices
+            term = out[r] if i == 0 else stash[s]
+            np.subtract(value, stash[s], out=term)
+            term *= weights[i]
+            if i:
+                out[r] += term
+        for s in new:
+            np.copyto(stash[s], value)
+
+    first, last = image[0], image[-1]
+    ramp = _empty((w,), dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.multiply(first, dtype.type(-pad), out=ramp)
+    _check_sums(image, ramp, "column")  # I(-P-1)
+    for j in (j for j in events if j < 0):
+        np.multiply(first, dtype.type(j + 1), out=ramp)
+        visit(j, ramp)
+
+    acc = np.full(w, -0.0, dtype)  # -0.0 + x is x for every x
+    step = _block_rows(h, w, dtype)
+    for r0 in range(0, h, step):
+        block = image[r0 : r0 + step]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for j, row in enumerate(block, r0):
+                acc += row
+                if j in events:
+                    visit(j, acc)
+            # the block is still in the cache
+            _check_sums(image, np.einsum("ij->i", block), "row")
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.multiply(last, dtype.type(pad), out=ramp)
+        ramp += acc
+    _check_sums(image, ramp, "column")  # I(h+P-1)
+    for j in (j for j in events if j >= h):
+        np.multiply(last, dtype.type(j - h + 1), out=ramp)
+        ramp += acc
+        visit(j, ramp)
+    return out
 
 
 def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
@@ -176,74 +295,45 @@ def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
 
 
 def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
-    """Filter a 2D image: slice-filter every row, then every column."""
+    """Filter a 2D image: slice-filter every column, then every row.
+
+    The column pass writes into the output, and its (h + 2P + 1) x w
+    running-sum buffer is freed before the row pass filters the output's
+    rows in place, so a call peaks at about twice the image.
+    """
     image = as_float(image)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("need a non-empty 2D image")
     _check_kernel(kernel)
-    h, w = image.shape
-    pad = kernel.max_radius
-    dtype = image.dtype
-
-    # the column pass's extended cumulative sum; the row pass fills its middle
-    ext = _empty((h + 2 * pad + 1, w), dtype)
-    mid = ext[pad + 1 : pad + 1 + h]
-    _row_pass(image, kernel, mid)
-    last = mid[-1].copy()
-    # I down the columns, one contiguous row add per row
-    prev = mid[0]
-    for cur in mid[1:]:
-        cur += prev
-        prev = cur
-    _fill_ramps(ext, mid[0], last, pad)
-
-    out = _empty(image.shape, dtype)
-    step = _block_rows(h, w, dtype)
-    term = _empty((step, w), dtype)
-    for r0 in range(0, h, step):
-        o = out[r0 : r0 + step]
-        nb = len(o)
-        _sum_slices(lambda i: ext[r0 + i : r0 + i + nb], kernel, o, term[:nb])
+    out = _empty(image.shape, image.dtype)
+    _column_pass(image, kernel, out)
+    _row_pass(out, kernel, out)
     return out
 
 
 def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
     """Evaluate the separable filter at selected (x, y) points only.
 
-    The rows are slice-filtered a block at a time, keeping only the
-    requested columns; those columns are then slice-filtered together as
-    the rows of their transpose.  Values are identical to the
-    corresponding pixels of :func:`separable_filter_2d`.
+    The column pass runs at the probed rows only, from one streamed column
+    running sum, and the row pass on those rows.  Values are identical to
+    the corresponding pixels of :func:`separable_filter_2d`.  The call
+    reads every pixel once, and its working memory is the probed rows and
+    the column slice terms open at one time, not an image.  Like
+    :func:`separable_filter_2d`, it refuses non-finite pixels and
+    overflowing column sums, and any image row whose sum overflows.
     """
     image = as_float(image)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("need a non-empty 2D image")
     _check_kernel(kernel)
     h, w = image.shape
-    dtype = image.dtype
     pts = [(int(x), int(y)) for x, y in points]
     for x, y in pts:
         if not (0 <= x < w and 0 <= y < h):
             raise ValueError(f"point ({x}, {y}) outside {w}x{h} image")
 
-    xs = np.array(sorted({x for x, _ in pts}), dtype=np.intp)
-    pad = kernel.max_radius
-    # the window starts of every slice term, and the running-sum columns
-    # they read at the probed columns, gathered once per block
-    starts = [i for p in kernel.radii.tolist() for i in (pad + 1 + p, pad - p)]
-    slot = {i: j for j, i in enumerate(starts)}
-    idx = np.add.outer(starts, xs)
-    step = _block_rows(h, w, dtype)
-    gathered = _empty((step,) + idx.shape, dtype)
-    cols = _empty((h, xs.size), dtype)
-    term = _empty((step, xs.size), dtype)
-    for rows, e in _row_blocks(image, pad):
-        c = cols[rows]
-        g = gathered[: len(c)]
-        # every index is in range; mode="raise" would buffer the output
-        np.take(e, idx, axis=1, out=g, mode="clip")
-        _sum_slices(lambda i: g[:, slot[i]], kernel, c, term[: len(c)])
-    columns = np.ascontiguousarray(cols.T)
-    _row_pass(columns, kernel, columns)
-    index = {x: i for i, x in enumerate(xs.tolist())}
-    return np.array([columns[index[x], y] for x, y in pts], dtype=dtype)
+    ys = sorted({y for _, y in pts})
+    rows = _column_pass_at(image, kernel, ys)
+    _row_pass(rows, kernel, rows)
+    index = {y: r for r, y in enumerate(ys)}
+    return rows[[index[y] for _, y in pts], [x for x, _ in pts]]

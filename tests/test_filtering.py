@@ -304,6 +304,42 @@ def test_rejects_non_finite_input(entry, dtype):
         entry(img, kern)
 
 
+def test_rejects_overflowing_column_sum():
+    # each row sum is finite, but the column running sum of 64 values of
+    # 1e307 overflows float64 at row 18
+    img = np.full((64, 1), 1e307)
+    kern = table_kernel(3, 2.0)
+    for entry in (separable_filter_2d, lambda a, k: filter_at(a, k, [(0, 0), (0, 63)])):
+        with pytest.raises(ValueError, match="^cannot filter: a column sum overflows float64"):
+            entry(img, kern)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("entry, sums", [
+    (lambda img, kern: slice_filter_1d(img[0], kern), "row"),
+    (separable_filter_2d, "column"),
+    (lambda img, kern: filter_at(img, kern, [(0, 0)]), "column"),
+], ids=["slice_filter_1d", "separable_filter_2d", "filter_at"])
+def test_rejects_overflowing_ramp(entry, sums, dtype):
+    # one finite pixel: its running sum is the pixel, but the clamp ramps
+    # reach P times it, and P > 2 here
+    img = np.full((1, 1), np.finfo(dtype).max / 2, dtype)
+    kern = table_kernel(3, 2.0)
+    assert kern.max_radius > 2
+    with pytest.raises(ValueError, match=f"^cannot filter: a {sums} sum overflows {img.dtype}"):
+        entry(img, kern)
+
+
+def test_slice_term_overflow_warns():
+    # I = [-1e308, 0, 1e308, 1e308] and the ramp ends I(-2) = 1e308 and
+    # I(4) = 1e308 are finite, so the input is accepted; only the term
+    # I(3) - I(0) overflows, and numpy's warning about it is not silenced
+    kern = SliceKernel((1,), (1.0 / 3.0,))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        out = slice_filter_1d(np.array([-1e308, 1e308, 1e308, 0.0]), kern)
+    assert np.isinf(out[2]) and np.isfinite(out[[0, 1, 3]]).all()
+
+
 def _slice_kernels(st, max_radius):
     """Strategy: random unit-gain slice kernels with radii <= max_radius."""
     return st.tuples(
@@ -444,3 +480,17 @@ class TestMemory:
         for img in (image, image.astype(np.float32)):
             peak = self._peak(lambda: filter_at(img, kern, pts))
             assert peak < 0.5 * img.nbytes
+
+
+@pytest.mark.parametrize("sigma", [5.0, 50.0])
+def test_filter_at_memory_without_image_buffers(sigma):
+    # filter_at streams one column running sum past the probed rows: it
+    # holds those rows, the column slice terms open at one time and the
+    # row pass's blocks, and no image-sized buffer, at any sigma
+    image = make_image("one-over-f", 1024, 1024, seed=3)
+    kern = table_kernel(3, sigma)
+    rng = np.random.default_rng(8)
+    pts = [(int(x), int(y)) for x, y in rng.integers(0, 1024, size=(64, 2))]
+    for img in (image, image.astype(np.float32)):
+        peak = TestMemory._peak(lambda: filter_at(img, kern, pts))
+        assert peak < 0.35 * img.nbytes
