@@ -340,6 +340,41 @@ def test_slice_term_overflow_warns():
     assert np.isinf(out[2]) and np.isfinite(out[[0, 1, 3]]).all()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_non_contiguous_input_same_bits(dtype):
+    # the row running sums view contiguous rows as complex pairs, so every
+    # entry point must hand them contiguous rows whatever its input's layout
+    rng = np.random.default_rng(53)
+    kern = table_kernel(3, 2.0)
+    x = rng.random(201).astype(dtype)
+    for view in (x[::2], x[::-1]):
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(
+            slice_filter_1d(view, kern), slice_filter_1d(view.copy(), kern)
+        )
+    img = rng.random((37, 45)).astype(dtype)
+    fortran = np.asfortranarray(img)
+    pts = [(0, 0), (44, 36), (7, 20), (30, 3)]
+    np.testing.assert_array_equal(filter_at(fortran, kern, pts), filter_at(img, kern, pts))
+    flipped = img[::-1, ::-1]
+    np.testing.assert_array_equal(
+        separable_filter_2d(flipped, kern), separable_filter_2d(flipped.copy(), kern)
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1023, 1024])
+def test_row_running_sums_are_exact_on_integers(n, dtype):
+    # I(j) = lane[j] + lane[j - 1] sums integers exactly, so the extended
+    # row sums equal np.cumsum at every width, odd and even, and at every
+    # row start of a block of several rows
+    pad = 3
+    a = np.random.default_rng(n).integers(0, 256, (5, n)).astype(dtype)
+    for rows, e, _ in filtering._row_blocks(a, pad):
+        assert rows == slice(0, 5) and e.dtype == dtype
+        np.testing.assert_array_equal(e[:, pad + 1 : pad + 1 + n], np.cumsum(a, axis=1))
+
+
 def _slice_kernels(st, max_radius):
     """Strategy: random unit-gain slice kernels with radii <= max_radius."""
     return st.tuples(

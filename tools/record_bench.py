@@ -10,9 +10,12 @@ seeds 1, 2 and 3, one run at a time, and keeps the JSON result line each
 run prints.  It then times
 ``separable_filter_2d`` of the checkout in-process at 512², 1024² and 2048²,
 sigma 5 and 50, k=3, for float64 and float32 inputs (a checkout that
-filters everything in float64 converts the float32 ones).  Everything,
-with the machine facts that run.py prints, goes to ``BENCH_<label>.json``
-in the root of this repository.  Nothing under ``perfbench/`` is changed.
+filters everything in float64 converts the float32 ones), and times the
+two passes of that call, ``_column_pass`` and ``_row_pass``, at 1024²,
+sigma 5 and 50, in float32 and float64 (skipped, and recorded as null,
+for a checkout without them).  Everything, with the machine facts that
+run.py prints, goes to ``BENCH_<label>.json`` in the root of this
+repository.  Nothing under ``perfbench/`` is changed.
 
 Benchmark another commit by pointing ``--checkout`` at an export of it,
 e.g. ``git archive <commit> | tar -x -C /tmp/base``.
@@ -64,6 +67,43 @@ for n in (512, 1024, 2048):
 print(json.dumps(rows))
 """
 
+# Run like RATIO_SCRIPT: median wall time of 15 calls of each pass of
+# separable_filter_2d at 1024², k=3, in the order that call runs them (the
+# column pass into the output, then the row pass on it in place), sigma
+# 5 and 50 interleaved.  Prints null for a checkout without the passes.
+PASS_SCRIPT = r"""
+import json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from sliceblur import approx, filtering
+from sliceblur.synth import make_image
+
+if not all(hasattr(filtering, f) for f in ("_column_pass", "_row_pass")):
+    print("null")
+    sys.exit()
+image = make_image("one-over-f", 1024, 1024, seed=42)
+kernels = {s: approx.gaussian_kernel(s, 3) for s in (5.0, 50.0)}
+rows = []
+for dtype in ("float64", "float32"):
+    img = image.astype(dtype)
+    out = filtering._empty(img.shape, img.dtype)
+    times = {(s, p): [] for s in kernels for p in ("column", "row")}
+    for _ in range(15):
+        for s, kern in kernels.items():
+            t0 = time.perf_counter_ns()
+            filtering._column_pass(img, kern, out)
+            t1 = time.perf_counter_ns()
+            filtering._row_pass(out, kern, out)
+            t2 = time.perf_counter_ns()
+            times[s, "column"].append(t1 - t0)
+            times[s, "row"].append(t2 - t1)
+    for (s, p), t in times.items():
+        rows.append({
+            "size": 1024, "dtype": dtype, "sigma": s, "pass": f"_{p}_pass",
+            "ms": statistics.median(t) / 1e6,
+        })
+print(json.dumps(rows))
+"""
+
 
 def workloads() -> list[str]:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -85,6 +125,15 @@ def run_one(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
     return json.loads(machine.removeprefix("machine ")), json.loads(lines[-1])
 
 
+def in_process(script: str, checkout: Path):
+    """The JSON that ``script`` prints, run on the checkout's ``src/``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(checkout / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
@@ -98,16 +147,13 @@ def main(argv=None) -> int:
             machine, result = run_one(checkout, workload, seed)
             runs.append({"workload": workload, "seed": seed, "result": result})
             print(f"{workload} seed {seed}: " + json.dumps(result["metrics"]), flush=True)
-    proc = subprocess.run(
-        [sys.executable, "-c", RATIO_SCRIPT, str(checkout / "src")],
-        capture_output=True, text=True, check=True,
-    )
     record = {
         "label": args.label,
         "command": ["python3", "perfbench/run.py", "--seconds", SECONDS, "--trace", 0],
         "machine": machine,
         "runs": runs,
-        "sigma_ratio": json.loads(proc.stdout),
+        "sigma_ratio": in_process(RATIO_SCRIPT, checkout),
+        "passes": in_process(PASS_SCRIPT, checkout),
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
