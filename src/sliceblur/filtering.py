@@ -18,7 +18,7 @@ two contiguous views of it.  The buffers start on a cache line
 
 A float32 input is filtered in float32; any other input is converted to
 float64 first (``as_float``).  Each pass is bound by the bytes it moves,
-so float32 runs about 1.7-2.1x faster at 1024² and 2048².  The running
+so float32 runs about 1.6-2.2x faster at 1024² and 2048².  The running
 sums of a row or column of n samples in [0, 1] reach n, so the float32
 error grows about linearly with n: on 8-bit 1/f images at sigma 2 (k=3,
 two images per size) the largest difference from the float64 result was
@@ -29,13 +29,16 @@ two images per size) the largest difference from the float64 result was
 Every running sum is checked before its slice terms are read: the two
 end entries of its clamp extension, I(-P-1) and I(n+P-1), must be finite
 (``_check_sums``).  The ramps are linear, so that bounds the whole
-extension, and a NaN or infinite pixel, or a sum that overflows (in a
-row, also either lane's sum alone; see below), makes I(n+P-1) of its row
-or column non-finite.  All three entry points refuse such an input with
-a ``ValueError`` that counts the non-finite pixels, or else names the row
-or column sum that overflows.  Only the cumulative
-sums, the ramps and these checks run with numpy's overflow and invalid
-warnings off (in ``filter_at``, the streamed column pass as a whole).
+extension, and in a sum built in one chain of additions, a NaN or
+infinite pixel, or a prefix sum that overflows, makes I(n+P-1)
+non-finite.  (A row block whose two-lane sum, see below, overflows is
+summed again in one chain before the check.  A non-finite pixel reaches
+the end of its lane, and so I(n-1), either way.)  All three entry points
+refuse such an input with a ``ValueError`` that counts the non-finite
+pixels, or else names the row or column sum that overflows.
+Only the cumulative sums, the ramps and these checks run with numpy's
+overflow and invalid warnings off (in ``filter_at``, the streamed column
+pass as a whole).
 
 ``separable_filter_2d`` filters the columns first, then the rows of the
 result in place.  Both passes stream through blocks of about ``_BLOCK``
@@ -61,12 +64,15 @@ in the L2 cache:
   block, I(j) = lane[j] + lane[j-1], writes I into the block's scratch,
   from which it is copied into place.  On integer-valued rows this is
   exactly ``np.cumsum``; otherwise it rounds differently, and each lane
-  holds about half of the sum.  The rows it reads must be contiguous,
-  which every caller's are.  The first term is written straight
-  into them, so a block takes 3k - 1 whole-block passes (k subtractions,
-  k multiplications, k - 1 accumulations) and no zero fill.  The number of
-  rows per block depends on the image width only, so the number of blocks
-  does not change with sigma.
+  holds about half of the sum.  If a lane or a sum of two overflows,
+  numpy raises on the overflow flag and the block falls back to
+  ``np.cumsum``, so a row is refused only when its sum in one chain would
+  be, and other input pays no extra pass for the check.  The rows it
+  reads must be contiguous, which every caller's are.  The first term is
+  written straight into them, so a block takes 3k - 1 whole-block passes
+  (k subtractions, k multiplications, k - 1 accumulations) and no zero
+  fill.  The number of rows per block depends on the image width only, so
+  the number of blocks does not change with sigma.
 
 ``filter_at`` needs the column pass at the probed rows only.  It streams
 the same column running sum through one w-wide accumulator, one image row
@@ -128,35 +134,22 @@ def _block_rows(h: int, n: int, dtype) -> int:
     return max(1, min(h, _BLOCK // (n * np.dtype(dtype).itemsize)))
 
 
-def _fill_ramps(e: np.ndarray, first, last, pad: int, scratch=None):
-    """Fill the clamp-extension ramps of the 2D ``e``, whose rows are
-    extended cumulative sums with ``n + 2 * pad + 1`` entries.
+def _fill_ramps(e: np.ndarray, first, last, pad: int):
+    """Fill the clamp-extension ramps of ``e``, an extended cumulative sum
+    along axis 0 with ``n + 2 * pad + 1`` entries.
 
-    Index ``pad + 1 + j`` of a row holds I(j), so I(-1) = 0 sits at index
-    ``pad``; ``e[:, pad + 1 : pad + 1 + n]`` must already hold I(0) ..
-    I(n-1), and the columns ``first`` and ``last`` hold each row's samples
-    f[0] and f[n-1].  With ``scratch``, free contiguous memory of at least
-    ``len(e) * (pad + 1)`` values, each ramp is computed there and then
-    copied in: for the short ramps of a block of rows that is faster than
-    computing them in place, one row stride apart.
+    Index ``pad + 1 + j`` holds I(j), so I(-1) = 0 sits at index ``pad``;
+    ``e[pad + 1 : pad + 1 + n]`` must already hold I(0) .. I(n-1), and
+    ``first`` and ``last`` are the signal's samples f[0] and f[n-1].
     """
-    n = e.shape[1] - 2 * pad - 1
-    ramps = (
-        # left ramp (j + 1) * f[0] for j = -pad-1 .. -1
-        (e[:, : pad + 1], np.arange(-pad, 1, dtype=e.dtype), first, None),
-        # right ramp I(n-1) + (j - n + 1) * f[n-1] for j = n .. n+pad-1
-        (e[:, pad + 1 + n :], np.arange(1, pad + 1, dtype=e.dtype), last,
-         e[:, pad + n, None]),
-    )
-    for ramp, steps, sample, start in ramps:
-        out = ramp
-        if scratch is not None:
-            out = scratch.reshape(-1)[: ramp.size].reshape(ramp.shape)
-        np.multiply(sample, steps, out=out)
-        if start is not None:
-            out += start
-        if out is not ramp:
-            np.copyto(ramp, out)
+    n = e.shape[0] - 2 * pad - 1
+    along = (slice(None),) + (None,) * (e.ndim - 1)
+    # left ramp (j + 1) * f[0] for j = -pad-1 .. -1
+    np.multiply(np.arange(-pad, 1, dtype=e.dtype)[along], first, out=e[: pad + 1])
+    # right ramp I(n-1) + (j - n + 1) * f[n-1] for j = n .. n+pad-1
+    right = e[pad + 1 + n :]
+    np.multiply(np.arange(1, pad + 1, dtype=e.dtype)[along], last, out=right)
+    right += e[pad + n]
 
 
 def _sum_slices(window, kernel: SliceKernel, out: np.ndarray, term: np.ndarray):
@@ -193,7 +186,8 @@ def _row_blocks(a: np.ndarray, pad: int):
     The cumulative sum is built from two interleaved lanes, lane[j] the sum
     of the samples of j's parity up to j, so I(j) = lane[j] + lane[j-1].
     One ``np.cumsum`` over the rows viewed as complex numbers carries both
-    lanes, which halves its sequential chain."""
+    lanes, which halves its sequential chain.  A block in which one of
+    these additions overflows is summed again by a plain ``np.cumsum``."""
     h, n = a.shape
     step = _block_rows(h, n, a.dtype)
     buf = _empty((step, n + 2 * pad + 1), a.dtype)
@@ -208,18 +202,25 @@ def _row_blocks(a: np.ndarray, pad: int):
         # placed in its middle; I goes to t first
         flat = e.reshape(-1)[: nb * n]
         lanes = flat.reshape(nb, n)
+        try:
+            # numpy raises after any of these additions that overflows
+            with np.errstate(over="raise", invalid="ignore"):
+                np.cumsum(block[:, :even].view(pair), axis=1,
+                          out=lanes[:, :even].view(pair))
+                if n % 2 and n > 1:  # the last sample has no pair
+                    np.add(lanes[:, -3], block[:, -1], out=lanes[:, -1])
+                np.add(flat[1:], flat[:-1], out=t.reshape(-1)[1:])
+        except FloatingPointError:
+            # sum the block in one chain instead, whose I(n-1) is finite
+            # unless some prefix sum is not
+            with np.errstate(invalid="ignore", over="ignore"):
+                np.cumsum(block, axis=1, out=t)
+        # each row start took the previous row's lane; at n = 1 this alone
+        # sets I
+        t[:, 0] = block[:, 0]
+        np.copyto(e[:, pad + 1 : pad + 1 + n], t)
         with np.errstate(invalid="ignore", over="ignore"):
-            np.cumsum(block[:, :even].view(pair), axis=1,
-                      out=lanes[:, :even].view(pair))
-            if n % 2 and n > 1:  # the last sample has no pair
-                np.add(lanes[:, -3], block[:, -1], out=lanes[:, -1])
-            np.add(flat[1:], flat[:-1], out=t.reshape(-1)[1:])
-            # each row start took the previous row's lane; at n = 1 this
-            # alone sets I
-            t[:, 0] = block[:, 0]
-            np.copyto(e[:, pad + 1 : pad + 1 + n], t)
-            # t is free again, and holds a ramp when it is as wide
-            _fill_ramps(e, block[:, :1], block[:, -1:], pad, t if pad < n else None)
+            _fill_ramps(e.T, block[:, 0], block[:, -1], pad)
         _check_sums(a, e[:, :: n + 2 * pad], "row")
         yield slice(r0, r0 + nb), e, t
 
@@ -249,7 +250,7 @@ def _column_pass(image: np.ndarray, kernel: SliceKernel, out: np.ndarray):
             for cur in rows[1 if r0 == 0 else 0 :]:
                 cur += prev
                 prev = cur
-        _fill_ramps(ext.T, image[:1].T, image[-1:].T, pad)
+        _fill_ramps(ext, image[0], image[-1], pad)
     _check_sums(image, ext[:: h + 2 * pad], "column")
     term = _empty((step, w), image.dtype)
     for r0 in range(0, h, step):

@@ -341,6 +341,29 @@ def test_slice_term_overflow_warns():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rejects_row_sum_overflowing_between_finite_ends(dtype):
+    # the two lanes are [0, v, v, 0, 0, 0] and stay finite, and so do the
+    # ends of I = [0, v, 2v, v, 0, 0], but I(2) = 2v overflows
+    v = np.finfo(dtype).max * 0.9
+    sig = np.array([0, v, v, -v, -v, 0], dtype)
+    with pytest.raises(ValueError, match=f"^cannot filter: a row sum overflows {sig.dtype}"):
+        slice_filter_1d(sig, SliceKernel((1,), (1.0 / 3.0,)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_accepts_row_whose_lane_alone_overflows(dtype):
+    # I alternates between 0 and v, but the odd samples alone sum to 5v,
+    # which overflows: the row is still filtered
+    v = np.finfo(dtype).max / 2
+    sig = np.array([0] + [v, -v] * 5 + [0], dtype)
+    kern = SliceKernel((1,), (1.0 / 3.0,))
+    out = slice_filter_1d(sig, kern)
+    assert out.dtype == dtype
+    dense = direct_convolve_1d(sig.astype(np.float64), kern.dense())
+    np.testing.assert_allclose(out, dense, rtol=0, atol=v * 1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_non_contiguous_input_same_bits(dtype):
     # the row running sums view contiguous rows as complex pairs, so every
     # entry point must hand them contiguous rows whatever its input's layout
