@@ -75,7 +75,8 @@ class SliceKernel:
     """Symmetric kernel as overlapping centered slices (radius, weight).
 
     Slice i covers every integer offset t with |t| <= radii[i]; the kernel
-    value at t is the sum of the weights of the slices covering t.
+    value at t is the sum of the weights of the slices covering t.  The
+    radii and weights are read-only copies of the arguments.
     """
 
     radii: np.ndarray
@@ -83,11 +84,15 @@ class SliceKernel:
     sigma: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "radii", np.asarray(self.radii, dtype=np.int64))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
+        # read-only copies, so that the cached dc_gain stays true
+        for name, dtype in (("radii", np.int64), ("weights", np.float64)):
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         if self.radii.ndim != 1 or self.radii.size == 0:
             raise ValueError("need at least one slice")
-        if self.radii[0] < 0 or np.any(np.diff(self.radii) <= 0):
+        r = self.radii.tolist()  # a short list: faster than numpy here
+        if r[0] < 0 or any(b <= a for a, b in zip(r, r[1:])):
             raise ValueError("slice radii must be strictly increasing and >= 0")
         if self.weights.shape != self.radii.shape:
             raise ValueError("weights and radii must have equal length")
@@ -100,17 +105,14 @@ class SliceKernel:
     def max_radius(self) -> int:
         return int(self.radii[-1])
 
-    @property
+    @functools.cached_property
     def dc_gain(self) -> float:
         """Response to a unit constant input: sum of w_i * (2 p_i + 1)."""
-        return float(np.sum(self.weights * (2.0 * self.radii + 1.0)))
+        return _dc_gain(self.radii, self.weights)
 
     def normalized(self) -> "SliceKernel":
         """Rescale weights to unit DC gain."""
-        g = self.dc_gain
-        if g == 0.0:
-            raise ValueError("cannot normalize a zero-gain kernel")
-        return SliceKernel(self.radii, self.weights / g, self.sigma)
+        return _unit_gain(self.radii, self.weights, self.sigma, self.dc_gain)
 
     def dense(self) -> np.ndarray:
         """Materialize the symmetric kernel on [-p_k, p_k]."""
@@ -118,6 +120,17 @@ class SliceKernel:
         t = np.abs(np.arange(-p, p + 1))
         # offset t is covered by every slice with radius >= t
         return (self.weights[None, :] * (t[:, None] <= self.radii[None, :])).sum(axis=1)
+
+
+def _dc_gain(radii: np.ndarray, weights: np.ndarray) -> float:
+    return float(np.sum(weights * (2.0 * radii + 1.0)))
+
+
+def _unit_gain(radii, weights: np.ndarray, sigma, gain: float) -> SliceKernel:
+    """The slice kernel of ``weights`` divided by their DC gain ``gain``."""
+    if gain == 0.0:
+        raise ValueError("cannot normalize a zero-gain kernel")
+    return SliceKernel(radii, weights / gain, sigma)
 
 
 def sample_gaussian(sigma0: float, n: int) -> SampledKernel:
@@ -324,17 +337,18 @@ def scale_to_sigma(base: SliceKernel, sigma: float) -> SliceKernel:
     ratio = sigma / base.sigma
     if not ratio * base.max_radius < 2.0**63:
         raise ValueError(f"sigma {sigma} is too large: its slice radii overflow int64")
-    new_p = np.floor(ratio * base.radii).astype(np.int64)
-    new_w = base.radii / (2.0 * new_p + 1.0) * base.weights
     # the floored radii are non-decreasing, so colliding ones are adjacent;
-    # each group sums from 0.0 in index order
+    # each group sums from 0.0 in index order.  Python floats round every
+    # step as numpy's float64 arrays would.
     radii, weights = [], []
-    for p, w in zip(new_p.tolist(), new_w.tolist()):
+    for r, w in zip(base.radii.tolist(), base.weights.tolist()):
+        p = math.floor(ratio * r)
         if not radii or radii[-1] != p:
             radii.append(p)
             weights.append(0.0)
-        weights[-1] += w
-    return SliceKernel(radii, weights, sigma).normalized()
+        weights[-1] += r / (2.0 * p + 1.0) * w
+    radii, weights = np.array(radii, dtype=np.int64), np.array(weights)
+    return _unit_gain(radii, weights, sigma, _dc_gain(radii, weights))
 
 
 _TABLE_BREAKPOINTS = {
@@ -370,11 +384,7 @@ def table_defaults(k: int) -> tuple[Partition, float]:
 
 @functools.cache
 def _table_base(k: int) -> SliceKernel:
-    # shared by every call, so made read-only; scale_to_sigma only reads it
-    base = to_slices(*table_defaults(k))
-    base.radii.flags.writeable = False
-    base.weights.flags.writeable = False
-    return base
+    return to_slices(*table_defaults(k))
 
 
 def gaussian_kernel(

@@ -43,6 +43,21 @@ def save_params(path, params: FilterParams):
         fh.write("\n".join(lines) + "\n")
 
 
+def _value(fields: dict, path, key: str, convert):
+    """``convert(text)`` of the value of ``key``; a missing key or a value
+    that does not convert raises ``ValueError`` naming the file and key."""
+    if key not in fields:
+        raise ValueError(f"{path}: missing parameter key {key!r}")
+    try:
+        return convert(fields[key])
+    except ValueError:
+        raise ValueError(f"{path}: bad value for {key}: {fields[key]!r}") from None
+
+
+def _list(kind):
+    return lambda text: [kind(v) for v in text.split(",")]
+
+
 def load_params(path) -> FilterParams:
     fields = {}
     with open(path) as fh:
@@ -52,20 +67,17 @@ def load_params(path) -> FilterParams:
                 continue
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-    try:
-        k = int(fields["k"])
-        sigma0 = float(fields["sigma0"])
-        error_model = fields["error_model"]
-        breakpoints = [int(v) for v in fields["breakpoints"].split(",")]
-        constants = [float(v) for v in fields["constants"].split(",")]
-        e2 = float(fields["e2"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing parameter key {exc}") from None
+    k = _value(fields, path, "k", int)
+    sigma0 = _value(fields, path, "sigma0", float)
+    error_model = _value(fields, path, "error_model", str)
+    breakpoints = _value(fields, path, "breakpoints", _list(int))
+    constants = _value(fields, path, "constants", _list(float))
+    e2 = _value(fields, path, "e2", float)
     if len(breakpoints) != k or len(constants) != k:
         raise ValueError(f"{path}: k does not match parameter lengths")
     partition = Partition(np.array(breakpoints), np.array(constants))
     if "weights" in fields:
-        stored = np.array([float(v) for v in fields["weights"].split(",")])
+        stored = np.array(_value(fields, path, "weights", _list(float)))
         if not np.allclose(stored, to_slices(partition).weights, atol=1e-9):
             raise ValueError(f"{path}: weights inconsistent with constants")
     return FilterParams(partition, sigma0, error_model, e2)

@@ -54,11 +54,11 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         raise ValueError(f"{path}: bad image size {width}x{height}")
     if not (0 < maxval < 65536):
         raise ValueError(f"{path}: bad maxval {maxval}")
-    dtype = np.dtype(">u2") if maxval > 255 else np.uint8
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
     count = width * height
-    raw = np.frombuffer(data, dtype=dtype, count=count, offset=end + 1)
-    if raw.size != count:
+    if len(data) - (end + 1) < count * dtype.itemsize:
         raise ValueError(f"{path}: truncated pixel data")
+    raw = np.frombuffer(data, dtype=dtype, count=count, offset=end + 1)
     pixel_type = np.float32 if maxval <= 255 else np.float64
     return np.divide(raw.reshape(height, width), maxval, dtype=pixel_type), maxval
 

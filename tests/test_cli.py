@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -55,6 +56,16 @@ class TestPgm:
         path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
         with pytest.raises(ValueError):
             read_pgm(path)
+
+    @pytest.mark.parametrize("maxval, pixels", [(255, b"\x00" * 15), (65535, b"\x00" * 31)])
+    def test_truncated_pixel_data_names_the_file(self, tmp_path, maxval, pixels):
+        # one byte short of a 4x4 image
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n4 4\n%d\n" % maxval + pixels)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated pixel data$"):
+            read_pgm(path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        assert read_pgm(path)[0].shape == (4, 4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_write_rejects_non_finite(self, tmp_path, bad):
@@ -213,6 +224,24 @@ class TestParamsFile:
         with pytest.raises(ValueError):
             load_params(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", "three"), ("sigma0", "1.0.0"), ("breakpoints", "23, x, 76"),
+        ("constants", "0.9, , 0.1"), ("weights", "0.4, nope, 0.2"), ("e2", ""),
+    ])
+    def test_malformed_number_names_file_and_key(self, tmp_path, key, value):
+        part, sigma0 = approx.table_defaults(3)
+        path = tmp_path / "p.txt"
+        save_params(path, FilterParams(part, sigma0, "qf", 0.0))
+        lines = [
+            f"{key} = {value}" if line.split("=")[0].strip() == key else line
+            for line in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(path))}: bad value for {key}: "
+        ):
+            load_params(path)
+
 
 class TestSynth:
     def test_constant(self):
@@ -294,6 +323,26 @@ class TestFilterCommand:
                    "--sigma", "3"])
         assert rc == 2
         assert capsys.readouterr().err != ""
+
+    def test_truncated_file_one_line_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "t.pgm"
+        src.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
+        rc = main(["filter", str(src), str(tmp_path / "o.pgm"), "--sigma", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"sliceblur: {src}: truncated pixel data\n"
+
+    def test_malformed_params_one_line_exit_2(self, tmp_path, capsys):
+        src, pfile = tmp_path / "n.pgm", tmp_path / "p.txt"
+        write_pgm(src, np.random.default_rng(3).random((8, 8)))
+        part, sigma0 = approx.table_defaults(3)
+        save_params(pfile, FilterParams(part, sigma0, "qf", 0.0))
+        text = pfile.read_text()
+        pfile.write_text(text.replace("breakpoints = 23, 46, 76", "breakpoints = 23, x, 76"))
+        rc = main(["filter", str(src), str(tmp_path / "o.pgm"), "--sigma", "2",
+                   "--params", str(pfile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"sliceblur: {pfile}: bad value for breakpoints: '23, x, 76'\n"
 
     def test_sigma_beyond_image_roundtrip(self, tmp_path):
         # radius 119 on a 32x32 image: the constant comes back unchanged

@@ -398,6 +398,64 @@ def test_row_running_sums_are_exact_on_integers(n, dtype):
         np.testing.assert_array_equal(e[:, pad + 1 : pad + 1 + n], np.cumsum(a, axis=1))
 
 
+def _column_pass_both_ways(monkeypatch, img, kern):
+    """``_column_pass`` of ``img`` by np.cumsum and by row adds."""
+    outs = []
+    for narrow in (img.shape[1], img.shape[1] - 1):
+        monkeypatch.setattr(filtering, "_NARROW", narrow)
+        out = np.empty(img.shape, img.dtype)
+        filtering._column_pass(img, kern, out)
+        outs.append(out)
+    return outs
+
+
+@pytest.mark.parametrize("block", [filtering._BLOCK, 256])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("w", [
+    1, 2, 3, filtering._NARROW - 1, filtering._NARROW, filtering._NARROW + 1,
+])
+def test_narrow_column_sums_same_bits_as_row_adds(monkeypatch, w, dtype, block):
+    # the column running sum of a narrow image is np.cumsum(axis=0), over
+    # column pairs viewed as complex numbers: the row adds' additions in
+    # their order, so the bits agree at odd and even widths, across blocks
+    # (256 bytes: a block of 1 to 32 rows), on every layout, and at -0.0
+    monkeypatch.setattr(filtering, "_BLOCK", block)
+    kern = SliceKernel((0, 3, 7), (0.5, 0.3, 0.2)).normalized()
+    rng = np.random.default_rng(w)
+    img = rng.standard_normal((45, w)).astype(dtype)
+    img[rng.random(img.shape) < 0.2] = -0.0
+    for view in (img, img[::-1], img[::-1, ::-1], np.asfortranarray(img), -np.zeros_like(img)):
+        narrow, adds = _column_pass_both_ways(monkeypatch, view, kern)
+        assert narrow.tobytes() == adds.tobytes()
+        np.testing.assert_array_equal(np.signbit(narrow), np.signbit(adds))
+
+
+@pytest.mark.parametrize("w", [120, 121])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_narrow_column_sums_allocate_no_temporary(monkeypatch, w, dtype):
+    # np.cumsum writes from the image (or a scratch copy) into the column
+    # buffer, so numpy never copies an operand that overlaps its output
+    img = np.random.default_rng(w).random((113, w)).astype(dtype)
+    kern = gaussian_kernel(4.0, 5)
+    peaks = []
+    for narrow in (w, 0):
+        monkeypatch.setattr(filtering, "_NARROW", narrow)
+        peaks.append(TestMemory._peak(lambda: separable_filter_2d(img, kern)))
+    assert peaks[0] <= peaks[1] + 1024
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_narrow_rejects_overflowing_column_sum(dtype):
+    # every row sums to a quarter of the dtype's largest value, but the
+    # running sum down each column overflows at row 8
+    img = np.full((64, 2), np.finfo(dtype).max / 8, dtype)
+    assert img.shape[1] <= filtering._NARROW
+    kern = table_kernel(3, 2.0)
+    for entry in (separable_filter_2d, lambda a, k: filter_at(a, k, [(1, 0), (0, 63)])):
+        with pytest.raises(ValueError, match=f"^cannot filter: a column sum overflows {img.dtype}"):
+            entry(img, kern)
+
+
 def _slice_kernels(st, max_radius):
     """Strategy: random unit-gain slice kernels with radii <= max_radius."""
     return st.tuples(
@@ -498,6 +556,18 @@ class TestProperties:
     def test_1d_with_small_blocks(self, monkeypatch):
         self._small_blocks(monkeypatch)
         self.test_1d_matches_dense_from_length_1()
+
+    # Every image drawn above is at most 64 wide, so its column running
+    # sums come from np.cumsum (and across blocks, with small blocks);
+    # _NARROW = 0 sends them through the row adds that wider images take.
+    def test_2d_with_row_adds(self, monkeypatch):
+        monkeypatch.setattr(filtering, "_NARROW", 0)
+        self.test_2d_matches_dense_and_filter_at_is_exact()
+
+    def test_2d_with_row_adds_and_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(filtering, "_NARROW", 0)
+        self._small_blocks(monkeypatch)
+        self.test_2d_matches_dense_and_filter_at_is_exact()
 
 
 @pytest.mark.parametrize("shape", [(1,), (3, 5), (32, 1024), (7, 3, 2)])

@@ -7,15 +7,21 @@ Usage (from the repository root):
 Runs ``perfbench/run.py`` of the checkout (default: this repository) for
 25 s once for every workload that ``BENCHMARK.json`` lists and each of the
 seeds 1, 2 and 3, one run at a time, and keeps the JSON result line each
-run prints.  It then times
-``separable_filter_2d`` of the checkout in-process at 512², 1024² and 2048²,
-sigma 5 and 50, k=3, for float64 and float32 inputs (a checkout that
-filters everything in float64 converts the float32 ones), and times the
-two passes of that call, ``_column_pass`` and ``_row_pass``, at 1024²,
-sigma 5 and 50, in float32 and float64 (skipped, and recorded as null,
-for a checkout without them).  Everything, with the machine facts that
-run.py prints, goes to ``BENCH_<label>.json`` in the root of this
-repository.  Nothing under ``perfbench/`` is changed.
+run prints.  It then times, in-process:
+
+* ``separable_filter_2d`` at 512², 1024² and 2048², sigma 5 and 50, k=3,
+  for float64 and float32 inputs (a checkout that filters everything in
+  float64 converts the float32 ones);
+* the two passes of that call, ``_column_pass`` and ``_row_pass``, at
+  1024², sigma 5 and 50, in float32 and float64 (skipped, and recorded as
+  null, for a checkout without them);
+* at thumbnail size, ``separable_filter_2d`` on float64 images of 64x70,
+  113x120 and 158x155, k=5, sigma 2 and 8, and ``gaussian_kernel(sigma,
+  5)``.
+
+Everything, with the machine facts that run.py prints, goes to
+``BENCH_<label>.json`` in the root of this repository.  Nothing under
+``perfbench/`` is changed.
 
 Benchmark another commit by pointing ``--checkout`` at an export of it,
 e.g. ``git archive <commit> | tar -x -C /tmp/base``.
@@ -104,6 +110,45 @@ for dtype in ("float64", "float32"):
 print(json.dumps(rows))
 """
 
+# Run like RATIO_SCRIPT: per-call times at thumbnail size, where fixed
+# per-call costs weigh most.  Median wall time of 300 calls of
+# separable_filter_2d on float64 images of 64x70, 113x120 and 158x155
+# (rows x columns), k=5, sigma 2 and 8 interleaved, and of 3000 calls of
+# gaussian_kernel(sigma, 5) at sigmas drawn from U[1, 8].
+THUMB_SCRIPT = r"""
+import json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from sliceblur import approx
+from sliceblur.filtering import separable_filter_2d
+from sliceblur.synth import make_image
+
+rows = []
+kernels = {s: approx.gaussian_kernel(s, 5) for s in (2.0, 8.0)}
+for h, w in ((64, 70), (113, 120), (158, 155)):
+    img = make_image("one-over-f", w, h, seed=42).astype(np.float64)
+    times = {s: [] for s in kernels}
+    for _ in range(300):
+        for s, kern in kernels.items():
+            t0 = time.perf_counter_ns()
+            separable_filter_2d(img, kern)
+            times[s].append(time.perf_counter_ns() - t0)
+    for s, t in times.items():
+        rows.append({
+            "call": "separable_filter_2d", "size": [h, w], "dtype": "float64",
+            "k": 5, "sigma": s, "us": statistics.median(t) / 1e3,
+        })
+sigmas = np.random.default_rng(0).uniform(1.0, 8.0, 3000).tolist()
+t = []
+for s in sigmas:
+    t0 = time.perf_counter_ns()
+    approx.gaussian_kernel(s, 5)
+    t.append(time.perf_counter_ns() - t0)
+rows.append({"call": "gaussian_kernel", "k": 5, "sigma": "U[1, 8]",
+             "us": statistics.median(t) / 1e3})
+print(json.dumps(rows))
+"""
+
 
 def workloads() -> list[str]:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -154,6 +199,7 @@ def main(argv=None) -> int:
         "runs": runs,
         "sigma_ratio": in_process(RATIO_SCRIPT, checkout),
         "passes": in_process(PASS_SCRIPT, checkout),
+        "thumbnails": in_process(THUMB_SCRIPT, checkout),
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
