@@ -75,8 +75,7 @@ class SliceKernel:
     """Symmetric kernel as overlapping centered slices (radius, weight).
 
     Slice i covers every integer offset t with |t| <= radii[i]; the kernel
-    value at t is the sum of the weights of the slices covering t.  The
-    radii and weights are read-only copies of the arguments.
+    value at t is the sum of the weights of the slices covering t.
     """
 
     radii: np.ndarray
@@ -84,11 +83,8 @@ class SliceKernel:
     sigma: float | None = None
 
     def __post_init__(self):
-        # read-only copies, so that the cached dc_gain stays true
-        for name, dtype in (("radii", np.int64), ("weights", np.float64)):
-            a = np.array(getattr(self, name), dtype=dtype)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        object.__setattr__(self, "radii", np.asarray(self.radii, dtype=np.int64))
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         if self.radii.ndim != 1 or self.radii.size == 0:
             raise ValueError("need at least one slice")
         r = self.radii.tolist()  # a short list: faster than numpy here
@@ -105,7 +101,7 @@ class SliceKernel:
     def max_radius(self) -> int:
         return int(self.radii[-1])
 
-    @functools.cached_property
+    @property
     def dc_gain(self) -> float:
         """Response to a unit constant input: sum of w_i * (2 p_i + 1)."""
         return _dc_gain(self.radii, self.weights)
@@ -384,7 +380,11 @@ def table_defaults(k: int) -> tuple[Partition, float]:
 
 @functools.cache
 def _table_base(k: int) -> SliceKernel:
-    return to_slices(*table_defaults(k))
+    # shared by every call, so made read-only; scale_to_sigma only reads it
+    base = to_slices(*table_defaults(k))
+    base.radii.flags.writeable = False
+    base.weights.flags.writeable = False
+    return base
 
 
 def gaussian_kernel(
