@@ -16,8 +16,8 @@ run prints.  It then times, in-process:
   1024², sigma 5 and 50, in float32 and float64 (skipped, and recorded as
   null, for a checkout without them);
 * at thumbnail size, ``separable_filter_2d`` on float64 images of 64x70,
-  113x120 and 158x155, k=5, sigma 2 and 8, and ``gaussian_kernel(sigma,
-  5)``.
+  113x120 and 158x155, k=5, sigma 2 and 8, with the minor page faults
+  per call of each shape, and ``gaussian_kernel(sigma, 5)``.
 
 Everything, with the machine facts that run.py prints, goes to
 ``BENCH_<label>.json`` in the root of this repository.  Nothing under
@@ -114,9 +114,12 @@ print(json.dumps(rows))
 # per-call costs weigh most.  Median wall time of 300 calls of
 # separable_filter_2d on float64 images of 64x70, 113x120 and 158x155
 # (rows x columns), k=5, sigma 2 and 8 interleaved, and of 3000 calls of
-# gaussian_kernel(sigma, 5) at sigmas drawn from U[1, 8].
+# gaussian_kernel(sigma, 5) at sigmas drawn from U[1, 8].  Each shape also
+# records its minor page faults per call: whether glibc hands the freed
+# buffers back between calls changes from process to process, and a call
+# that faults them in again is much slower.
 THUMB_SCRIPT = r"""
-import json, statistics, sys, time
+import json, resource, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from sliceblur import approx
@@ -128,15 +131,18 @@ kernels = {s: approx.gaussian_kernel(s, 5) for s in (2.0, 8.0)}
 for h, w in ((64, 70), (113, 120), (158, 155)):
     img = make_image("one-over-f", w, h, seed=42).astype(np.float64)
     times = {s: [] for s in kernels}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(300):
         for s, kern in kernels.items():
             t0 = time.perf_counter_ns()
             separable_filter_2d(img, kern)
             times[s].append(time.perf_counter_ns() - t0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     for s, t in times.items():
         rows.append({
             "call": "separable_filter_2d", "size": [h, w], "dtype": "float64",
             "k": 5, "sigma": s, "us": statistics.median(t) / 1e3,
+            "faults_per_call": faults / (300 * len(kernels)),
         })
 sigmas = np.random.default_rng(0).uniform(1.0, 8.0, 3000).tolist()
 t = []
