@@ -37,8 +37,8 @@ the end of its lane, and so I(n-1), either way.)  All three entry points
 refuse such an input with a ``ValueError`` that counts the non-finite
 pixels, or else names the row or column sum that overflows.
 Only the cumulative sums, the ramps and these checks run with numpy's
-overflow and invalid warnings off (in ``filter_at``, the streamed column
-pass as a whole).
+overflow and invalid warnings off (in ``filter_at``, also the column
+slice terms it opens and closes at indices inside the image).
 
 ``separable_filter_2d`` filters the columns first, then the rows of the
 result in place.  Both passes stream through blocks of about ``_BLOCK``
@@ -89,12 +89,13 @@ in the L2 cache:
 ``filter_at`` needs the column pass at the probed rows only.  It streams
 the same column running sum through one w-wide accumulator, one image row
 at a time, and works only at the 2k indices of I that each probed row's
-column slice terms read: there it keeps a copy of the accumulator, or
-closes a term into that row in ``_sum_slices``' order.  Indices outside
-the image come from the ramp formulas.  The row pass then runs on the
-probed rows alone, so the values are bit-identical to
-``separable_filter_2d``'s.  A call reads every pixel once, whatever sigma
-is, and holds the probed rows and the terms open at one time, not an
+column slice terms read, in increasing order.  A term opens at its lower
+index, where it keeps a copy of I, and closes at its upper one, where it
+subtracts that copy in place and goes into its row in ``_sum_slices``'
+order.  Indices outside the image take I from the ramp formulas.  The row
+pass then runs on the probed rows alone, so the values are bit-identical
+to ``separable_filter_2d``'s.  A call reads every pixel once, whatever
+sigma is, and holds the probed rows and one row per open term, not an
 image.  As it streams, it also sums every image row, a block at a time
 while the block is in the cache, so that an image row whose sum
 overflows is refused although no probe reads it.  (``separable_filter_2d``
@@ -128,7 +129,8 @@ def as_float(a) -> np.ndarray:
 
 
 def _check_kernel(kernel: SliceKernel):
-    if abs(kernel.dc_gain - 1.0) > _DC_TOL:
+    # written so that a NaN gain fails it too
+    if not abs(kernel.dc_gain - 1.0) <= _DC_TOL:
         raise ValueError("kernel must have unit DC gain; call normalized()")
 
 
@@ -305,52 +307,43 @@ def _column_pass(image: np.ndarray, kernel: SliceKernel, out: np.ndarray):
 
 def _column_pass_at(image: np.ndarray, kernel: SliceKernel, ys) -> np.ndarray:
     """The rows ``ys`` (sorted, distinct) of ``_column_pass``'s output,
-    from one streamed column running sum; see the module docstring."""
+    from one streamed column running sum, read at the indices that their
+    slice terms need; see the module docstring."""
     h, w = image.shape
     dtype = image.dtype
     pad = kernel.max_radius
     weights = kernel.weights.tolist()
-    # The term of slice i at row ys[r] reads I at lo = y - p_i - 1 (it opens
-    # there) and hi = y + p_i (it closes there).  Walking the indices in
-    # order, an open term holds a scratch row (a slot), freed when it
-    # closes; closing before opening at each index lets a slot be reused.
+    # The term of slice i at row ys[r] opens at lo = y - p_i - 1, where it
+    # keeps a copy of I(lo), and closes at hi = y + p_i, where that copy is
+    # its scratch for I(hi) - I(lo).
     opens, closes = defaultdict(list), defaultdict(list)
     for r, y in enumerate(ys):
         for i, p in enumerate(kernel.radii.tolist()):
             opens[y - p - 1].append((r, i))
             closes[y + p].append((r, i))
-    events, slot, free = {}, {}, []
-    for j in sorted(opens.keys() | closes.keys()):
-        done = [(r, i, slot.pop((r, i))) for r, i in closes[j]]
-        free += [s for *_, s in done]
-        for t in opens[j]:
-            slot[t] = free.pop() if free else len(slot)
-        events[j] = done, [slot[t] for t in opens[j]]
-
+    walk = sorted(opens.keys() | closes.keys())
     out = _empty((len(ys), w), dtype)
-    stash = _empty((len(free), w), dtype)  # every slot is free at the end
+    held = {}
 
     def visit(j, value):
-        """Close and open the terms at index j, where I(j) is ``value``."""
-        done, new = events[j]
-        for r, i, s in done:
-            # the first term is written into the row, as in _sum_slices
-            term = out[r] if i == 0 else stash[s]
-            np.subtract(value, stash[s], out=term)
+        """Close, then open, the terms at index j, where I(j) is ``value``."""
+        for r, i in closes.get(j, ()):
+            # a row's terms close in slice order; the first is written into
+            # the row, as in _sum_slices
+            lo = held.pop((r, i))
+            term = out[r] if i == 0 else lo
+            np.subtract(value, lo, out=term)
             term *= weights[i]
             if i:
                 out[r] += term
-        for s in new:
-            np.copyto(stash[s], value)
+        for t in opens.get(j, ()):
+            held[t] = value.copy()
 
     first, last = image[0], image[-1]
-    ramp = _empty((w,), dtype)
     with np.errstate(invalid="ignore", over="ignore"):
-        np.multiply(first, dtype.type(-pad), out=ramp)
-    _check_sums(image, ramp, "column")  # I(-P-1)
-    for j in (j for j in events if j < 0):
-        np.multiply(first, dtype.type(j + 1), out=ramp)
-        visit(j, ramp)
+        _check_sums(image, first * dtype.type(-pad), "column")  # I(-P-1)
+    for j in (j for j in walk if j < 0):
+        visit(j, first * dtype.type(j + 1))
 
     acc = np.full(w, -0.0, dtype)  # -0.0 + x is x for every x
     step = _block_rows(h, w, dtype)
@@ -359,19 +352,15 @@ def _column_pass_at(image: np.ndarray, kernel: SliceKernel, ys) -> np.ndarray:
         with np.errstate(invalid="ignore", over="ignore"):
             for j, row in enumerate(block, r0):
                 acc += row
-                if j in events:
+                if j in opens or j in closes:
                     visit(j, acc)
             # the block is still in the cache
             _check_sums(image, np.einsum("ij->i", block), "row")
 
     with np.errstate(invalid="ignore", over="ignore"):
-        np.multiply(last, dtype.type(pad), out=ramp)
-        ramp += acc
-    _check_sums(image, ramp, "column")  # I(h+P-1)
-    for j in (j for j in events if j >= h):
-        np.multiply(last, dtype.type(j - h + 1), out=ramp)
-        ramp += acc
-        visit(j, ramp)
+        _check_sums(image, last * dtype.type(pad) + acc, "column")  # I(h+P-1)
+    for j in (j for j in walk if j >= h):
+        visit(j, last * dtype.type(j - h + 1) + acc)
     return out
 
 
@@ -414,17 +403,21 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
     reads every pixel once, and its working memory is the probed rows and
     the column slice terms open at one time, not an image.  Like
     :func:`separable_filter_2d`, it refuses non-finite pixels and
-    overflowing column sums, and any image row whose sum overflows.
+    overflowing column sums, and any image row whose sum overflows.  A
+    point must lie on the pixel grid: (1.9, 2.7) is refused, not rounded.
     """
     image = as_float(image)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("need a non-empty 2D image")
     _check_kernel(kernel)
     h, w = image.shape
-    pts = [(int(x), int(y)) for x, y in points]
-    for x, y in pts:
+    pts = []
+    for x, y in np.asarray(points).tolist():  # Python scalars compare faster
         if not (0 <= x < w and 0 <= y < h):
             raise ValueError(f"point ({x}, {y}) outside {w}x{h} image")
+        if x != int(x) or y != int(y):
+            raise ValueError(f"point ({x}, {y}) is not on the pixel grid")
+        pts.append((int(x), int(y)))
 
     ys = sorted({y for _, y in pts})
     rows = _column_pass_at(image, kernel, ys)

@@ -8,6 +8,7 @@ Keys: k, sigma0, error_model (qf | l2), breakpoints, constants, weights, e2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,20 @@ def _list(kind):
     return lambda text: [kind(v) for v in text.split(",")]
 
 
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {value}")
+    return value
+
+
+def _positive(text) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise ValueError(f"not positive: {value}")
+    return value
+
+
 def load_params(path) -> FilterParams:
     fields = {}
     with open(path) as fh:
@@ -68,10 +83,10 @@ def load_params(path) -> FilterParams:
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
     k = _value(fields, path, "k", int)
-    sigma0 = _value(fields, path, "sigma0", float)
+    sigma0 = _value(fields, path, "sigma0", _positive)
     error_model = _value(fields, path, "error_model", str)
     breakpoints = _value(fields, path, "breakpoints", _list(int))
-    constants = _value(fields, path, "constants", _list(float))
+    constants = _value(fields, path, "constants", _list(_finite))
     e2 = _value(fields, path, "e2", float)
     if len(breakpoints) != k or len(constants) != k:
         raise ValueError(f"{path}: k does not match parameter lengths")

@@ -49,7 +49,15 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         maxval, end = next(toks)
     except StopIteration:
         raise ValueError(f"{path}: truncated PGM header") from None
-    width, height, maxval = int(width), int(height), int(maxval)
+    try:
+        width, height = int(width), int(height)
+    except ValueError:
+        size = (width + b" " + height).decode("latin-1")
+        raise ValueError(f"{path}: bad image size {size!r}") from None
+    try:
+        maxval = int(maxval)
+    except ValueError:
+        raise ValueError(f"{path}: bad maxval {maxval.decode('latin-1')!r}") from None
     if width <= 0 or height <= 0:
         raise ValueError(f"{path}: bad image size {width}x{height}")
     if not (0 < maxval < 65536):

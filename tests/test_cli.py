@@ -227,6 +227,8 @@ class TestParamsFile:
     @pytest.mark.parametrize("key, value", [
         ("k", "three"), ("sigma0", "1.0.0"), ("breakpoints", "23, x, 76"),
         ("constants", "0.9, , 0.1"), ("weights", "0.4, nope, 0.2"), ("e2", ""),
+        ("sigma0", "0"), ("sigma0", "-5"), ("sigma0", "nan"), ("sigma0", "inf"),
+        ("constants", "nan, 0.5, 0.1"), ("constants", "0.9, -inf, 0.1"),
     ])
     def test_malformed_number_names_file_and_key(self, tmp_path, key, value):
         part, sigma0 = approx.table_defaults(3)
@@ -352,13 +354,21 @@ class TestFilterCommand:
         assert main(["filter", str(src), str(dst), "--sigma", "50"]) == 0
         assert dst.read_bytes() == src.read_bytes()
 
-    @pytest.mark.parametrize("size", [b"0 4", b"4 0", b"-2 -3"])
+    @pytest.mark.parametrize("size", [b"0 4", b"4 0", b"-2 -3", b"3x 2"])
     def test_bad_size_exit_2(self, tmp_path, capsys, size):
         src = tmp_path / "s.pgm"
         src.write_bytes(b"P5 " + size + b" 255\n" + bytes(16))
         rc = main(["filter", str(src), str(tmp_path / "o.pgm"), "--sigma", "2"])
         assert rc == 2
         assert f"{src}: bad image size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("maxval", [b"2x5", b"0", b"65536"])
+    def test_bad_maxval_exit_2(self, tmp_path, capsys, maxval):
+        src = tmp_path / "s.pgm"
+        src.write_bytes(b"P5 4 4 " + maxval + b"\n" + bytes(32))
+        rc = main(["filter", str(src), str(tmp_path / "o.pgm"), "--sigma", "2"])
+        assert rc == 2
+        assert f"{src}: bad maxval" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma", ["nan", "inf"])
     def test_non_finite_sigma_exit_2(self, tmp_path, capsys, sigma):

@@ -271,6 +271,8 @@ class TestFilterAt:
             filter_at(img, table_kernel(3, 1.0), [(16, 0)])
         with pytest.raises(ValueError):
             filter_at(img, table_kernel(3, 1.0), [(0, -1)])
+        with pytest.raises(ValueError, match=r"point \(1\.9, 2\.7\)"):
+            filter_at(img, table_kernel(3, 1.0), [(1.9, 2.7)])
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_empty_image(self, shape):
@@ -302,6 +304,20 @@ def test_rejects_non_finite_input(entry, dtype):
     img[5] = np.finfo(dtype).max / 4
     with pytest.raises(ValueError, match=f"^cannot filter: a row sum overflows {img.dtype}"):
         entry(img, kern)
+
+
+@pytest.mark.parametrize("kern", [
+    SliceKernel((2,), (1.0,)), SliceKernel((1, 2), (np.nan, 0.1)),
+    SliceKernel((1, 2), (np.inf, 0.1)),
+], ids=["gain-5", "nan", "inf"])
+@pytest.mark.parametrize("entry", [
+    lambda img, kern: slice_filter_1d(img[0], kern),
+    separable_filter_2d,
+    lambda img, kern: filter_at(img, kern, [(0, 0)]),
+], ids=["slice_filter_1d", "separable_filter_2d", "filter_at"])
+def test_rejects_kernel_without_unit_gain(entry, kern):
+    with pytest.raises(ValueError, match="^kernel must have unit DC gain"):
+        entry(np.ones((4, 4)), kern)
 
 
 def test_rejects_overflowing_column_sum():
