@@ -15,7 +15,7 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,18 +35,6 @@ class BenchRecord:
     adds_per_px: float
     muls_per_px: float
 
-    def row(self) -> list:
-        return [
-            self.method,
-            self.k,
-            repr(self.sigma),
-            self.image_id,
-            self.wall_time_ns,
-            repr(self.psnr_db),
-            repr(self.adds_per_px),
-            repr(self.muls_per_px),
-        ]
-
 
 CSV_HEADER = [f.name for f in fields(BenchRecord)]
 
@@ -63,21 +51,24 @@ def cmd_filter(args) -> int:
     return 0
 
 
-def cmd_optimize(args) -> int:
-    n = args.samples
+def _fit(k: int, error_model: str, n: int) -> params.FilterParams:
+    """The k-slice partition that best fits the Gaussian of sigma0 = n/pi,
+    sampled at n half-kernel points, under ``error_model`` (qf | l2)."""
     sigma0 = n / math.pi
     target = approx.sample_gaussian(sigma0, n)
-    if args.model == "qf":
+    if error_model == "qf":
         model = approx.build_autocorr(n - 1)
     else:
         model = approx.identity_model(n - 1)
-    partition = approx.search_partitions(target, args.k, model)
+    partition = approx.search_partitions(target, k, model)
     e2 = approx.quadratic_error(
         target, approx.partition_profile(partition, n), model
     )
-    params.save_params(
-        args.params, params.FilterParams(partition, sigma0, args.model, e2)
-    )
+    return params.FilterParams(partition, sigma0, error_model, e2)
+
+
+def cmd_optimize(args) -> int:
+    params.save_params(args.params, _fit(args.k, args.model, args.samples))
     return 0
 
 
@@ -92,14 +83,6 @@ def _median_time_ns(fn, reps: int):
     return int(statistics.median(times)), result
 
 
-def _l2_params(ks) -> dict[int, tuple[approx.Partition, float]]:
-    n = 100
-    sigma0 = n / math.pi
-    target = approx.sample_gaussian(sigma0, n)
-    model = approx.identity_model(n - 1)
-    return {k: (approx.search_partitions(target, k, model), sigma0) for k in ks}
-
-
 def cmd_bench(args) -> int:
     corpus = sorted(Path(args.corpus_dir).glob("*.pgm"))
     if not corpus:
@@ -110,7 +93,10 @@ def cmd_bench(args) -> int:
     # per arm, the params of each k (None: the builtin partition)
     arms = [("slices-qf", dict.fromkeys(args.k))]
     if args.l2:
-        arms.append(("slices-l2", _l2_params(args.k)))
+        fits = {k: _fit(k, "l2", 100) for k in args.k}
+        arms.append(
+            ("slices-l2", {k: (f.partition, f.sigma0) for k, f in fits.items()})
+        )
 
     records = []
     for image_id, image in images:
@@ -153,7 +139,7 @@ def cmd_bench(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for record in records:
-            writer.writerow(record.row())
+            writer.writerow(astuple(record))
     return 0
 
 

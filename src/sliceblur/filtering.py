@@ -7,14 +7,16 @@ Each output sample is
 where I is the cumulative sum of the input, so the cost per sample is
 2k additions and k multiplications regardless of the kernel width.
 
-Boundaries use replicate (clamp) padding.  Each pass builds I for j in
+Boundaries use replicate (clamp) padding.  I is extended to j in
 [-P-1, n+P-1], P the largest slice radius: the plain cumulative sum in the
 middle, and the analytic ramps I(j) = (j + 1) * f[0] for j < 0 and
-I(j) = I(n-1) + (j - n + 1) * f[n-1] for j >= n (``_fill_ramps``, the only
-code that knows the boundary).  P may be n or more, since the ramps extend
-I as far as any slice reaches.  Every slice term is then the difference of
-two contiguous views of it.  The buffers start on a cache line
-(``_empty``).
+I(j) = I(n-1) + (j - n + 1) * f[n-1] for j >= n.  P may be n or more, since
+the ramps extend I as far as any slice reaches.  The full passes build all
+of it in a buffer whose ramps ``_fill_ramps`` fills, so every slice term is
+the difference of two contiguous views of it; the buffers start on a cache
+line (``_empty``).  ``filter_at``'s column pass keeps no such buffer and
+computes the few I(j) outside the image that its terms read from the same
+formulas.
 
 A float32 input is filtered in float32; any other input is converted to
 float64 first (``as_float``).  Each pass is bound by the bytes it moves,

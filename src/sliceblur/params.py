@@ -4,6 +4,7 @@ Plain ``key = value`` text, one key per line; list values are
 comma-separated.  Written by the optimizer, read by the filter CLI.
 
 Keys: k, sigma0, error_model (qf | l2), breakpoints, constants, weights, e2.
+The integers, k and the breakpoints, are plain ASCII digits.
 """
 
 from __future__ import annotations
@@ -24,8 +25,13 @@ class FilterParams:
     e2: float
 
     def __post_init__(self):
-        if self.error_model not in ("qf", "l2"):
-            raise ValueError(f"unknown error model: {self.error_model}")
+        _error_model(self.error_model)
+
+
+def _error_model(text: str) -> str:
+    if text not in ("qf", "l2"):
+        raise ValueError(f"unknown error model: {text}")
+    return text
 
 
 def save_params(path, params: FilterParams):
@@ -59,6 +65,14 @@ def _list(kind):
     return lambda text: [kind(v) for v in text.split(",")]
 
 
+def _count(text: str) -> int:
+    """A non-negative integer written in plain ASCII digits."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not plain digits: {text!r}")
+    return int(text)
+
+
 def _finite(text) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -82,10 +96,10 @@ def load_params(path) -> FilterParams:
                 continue
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-    k = _value(fields, path, "k", int)
+    k = _value(fields, path, "k", _count)
     sigma0 = _value(fields, path, "sigma0", _positive)
-    error_model = _value(fields, path, "error_model", str)
-    breakpoints = _value(fields, path, "breakpoints", _list(int))
+    error_model = _value(fields, path, "error_model", _error_model)
+    breakpoints = _value(fields, path, "breakpoints", _list(_count))
     constants = _value(fields, path, "constants", _list(_finite))
     e2 = _value(fields, path, "e2", float)
     if len(breakpoints) != k or len(constants) != k:

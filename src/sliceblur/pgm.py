@@ -11,58 +11,51 @@ in a fixed form so equal images produce byte-identical files.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
 from .filtering import as_float
 
 
-def _tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    i = 0
-    while True:
-        while i < len(data) and data[i : i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i : i + 1] == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i : i + 1].isspace():
-            i += 1
-        if start == i:
-            return
-        yield data[start:i], i
+# One header field: skip whitespace and # comments, then take one run of
+# non-space bytes.  The repeat is possessive, so a # never starts a field.
+_FIELD = re.compile(rb"(?:\s|#[^\n]*)*+(\S+)")
+
+
+def _sample_type(maxval: int) -> np.dtype:
+    """The raw sample type: one byte up to maxval 255, else two, big-endian."""
+    return np.dtype(">u2" if maxval > 255 else np.uint8)
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
-    """Read a P5 file; returns (float image in [0, 1], maxval)."""
+    """Read a P5 file; returns (float image in [0, 1], maxval).
+
+    Width, height and maxval must be plain ASCII digits.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    toks = _tokens(data)
-    try:
-        magic, _ = next(toks)
-        if magic != b"P5":
+    fields, end = [], 0
+    for _ in range(4):
+        field = _FIELD.match(data, end)
+        if field is None:
+            raise ValueError(f"{path}: truncated PGM header")
+        if not fields and field[1] != b"P5":
             raise ValueError(f"{path}: not a binary PGM (P5) file")
-        width, _ = next(toks)
-        height, _ = next(toks)
-        maxval, end = next(toks)
-    except StopIteration:
-        raise ValueError(f"{path}: truncated PGM header") from None
-    try:
-        width, height = int(width), int(height)
-    except ValueError:
+        fields.append(field[1])
+        end = field.end()
+    _, width, height, maxval = fields
+    if not (width.isdigit() and height.isdigit()):
         size = (width + b" " + height).decode("latin-1")
-        raise ValueError(f"{path}: bad image size {size!r}") from None
-    try:
-        maxval = int(maxval)
-    except ValueError:
-        raise ValueError(f"{path}: bad maxval {maxval.decode('latin-1')!r}") from None
+        raise ValueError(f"{path}: bad image size {size!r}")
+    if not maxval.isdigit():
+        raise ValueError(f"{path}: bad maxval {maxval.decode('latin-1')!r}")
+    width, height, maxval = int(width), int(height), int(maxval)
     if width <= 0 or height <= 0:
         raise ValueError(f"{path}: bad image size {width}x{height}")
     if not (0 < maxval < 65536):
         raise ValueError(f"{path}: bad maxval {maxval}")
-    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+    dtype = _sample_type(maxval)
     count = width * height
     if len(data) - (end + 1) < count * dtype.itemsize:
         raise ValueError(f"{path}: truncated pixel data")
@@ -98,7 +91,7 @@ def write_pgm(path, image, maxval: int = 255):
             raise ValueError(f"cannot quantize {bad} non-finite pixel(s) (NaN or inf)")
     if lo < 0.0 or hi > maxval:
         np.clip(q, 0.0, maxval, out=q)
-    dtype = np.dtype(">u2") if maxval > 255 else np.uint8
+    dtype = _sample_type(maxval)
     h, w = image.shape
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n%d\n" % (w, h, maxval))

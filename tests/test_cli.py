@@ -57,6 +57,13 @@ class TestPgm:
         with pytest.raises(ValueError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("data", [b"", b"P5 4 4", b"# only a comment\n"])
+    def test_truncated_header_names_the_file(self, tmp_path, data):
+        path = tmp_path / "t.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: truncated PGM header$"):
+            read_pgm(path)
+
     @pytest.mark.parametrize("maxval, pixels", [(255, b"\x00" * 15), (65535, b"\x00" * 31)])
     def test_truncated_pixel_data_names_the_file(self, tmp_path, maxval, pixels):
         # one byte short of a 4x4 image
@@ -215,6 +222,18 @@ class TestParamsFile:
         with pytest.raises(ValueError):
             load_params(path)
 
+    def test_comments_blank_lines_and_k_mismatch(self, tmp_path):
+        part, sigma0 = approx.table_defaults(3)
+        path = tmp_path / "p.txt"
+        save_params(path, FilterParams(part, sigma0, "qf", 0.0))
+        path.write_text("# a comment\n\n" + path.read_text().replace("\n", "\n\n  # note\n"))
+        np.testing.assert_array_equal(load_params(path).partition.breakpoints, part.breakpoints)
+        path.write_text(path.read_text().replace("k = 3", "k = 4"))
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(path))}: k does not match parameter lengths$"
+        ):
+            load_params(path)
+
     def test_inconsistent_weights(self, tmp_path):
         part, sigma0 = approx.table_defaults(3)
         path = tmp_path / "p.txt"
@@ -229,6 +248,8 @@ class TestParamsFile:
         ("constants", "0.9, , 0.1"), ("weights", "0.4, nope, 0.2"), ("e2", ""),
         ("sigma0", "0"), ("sigma0", "-5"), ("sigma0", "nan"), ("sigma0", "inf"),
         ("constants", "nan, 0.5, 0.1"), ("constants", "0.9, -inf, 0.1"),
+        ("k", "+3"), ("k", "-3"), ("k", "3.0"), ("breakpoints", "2_3, 46, 76"),
+        ("breakpoints", "23, +46, 76"), ("error_model", "foo"), ("error_model", ""),
     ])
     def test_malformed_number_names_file_and_key(self, tmp_path, key, value):
         part, sigma0 = approx.table_defaults(3)
@@ -265,6 +286,11 @@ class TestSynth:
         for kind in ("one-over-f", "uniform-noise"):
             img = make_image(kind, 32, 32, seed=2)
             assert img.min() >= 0.0 and img.max() <= 1.0
+
+    @pytest.mark.parametrize("width, height", [(0, 8), (8, 0), (0, 0)])
+    def test_rejects_empty(self, width, height):
+        with pytest.raises(ValueError, match="^image dimensions must be positive$"):
+            make_image("constant", width, height)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -354,7 +380,7 @@ class TestFilterCommand:
         assert main(["filter", str(src), str(dst), "--sigma", "50"]) == 0
         assert dst.read_bytes() == src.read_bytes()
 
-    @pytest.mark.parametrize("size", [b"0 4", b"4 0", b"-2 -3", b"3x 2"])
+    @pytest.mark.parametrize("size", [b"0 4", b"4 0", b"-2 -3", b"3x 2", b"2_0 1", b"+2 2"])
     def test_bad_size_exit_2(self, tmp_path, capsys, size):
         src = tmp_path / "s.pgm"
         src.write_bytes(b"P5 " + size + b" 255\n" + bytes(16))
@@ -362,7 +388,7 @@ class TestFilterCommand:
         assert rc == 2
         assert f"{src}: bad image size" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("maxval", [b"2x5", b"0", b"65536"])
+    @pytest.mark.parametrize("maxval", [b"2x5", b"0", b"65536", b"+255"])
     def test_bad_maxval_exit_2(self, tmp_path, capsys, maxval):
         src = tmp_path / "s.pgm"
         src.write_bytes(b"P5 4 4 " + maxval + b"\n" + bytes(32))
@@ -505,21 +531,23 @@ class TestOptimizeCommand:
 
 
 class TestBenchCommand:
-    def test_rows_and_schema(self, tmp_path):
+    @pytest.mark.parametrize("l2", [[], ["--l2"]], ids=["qf", "l2"])
+    def test_rows_and_schema(self, tmp_path, l2):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         main(["synth", "uniform-noise", str(corpus / "img.pgm"),
               "--width", "64", "--height", "64", "--seed", "1"])
         out = tmp_path / "bench.csv"
         assert main(["bench", str(corpus), "--sigma", "2", "--sigma", "4",
-                     "--k", "3", "--reps", "3", "--csv", str(out)]) == 0
+                     "--k", "3", "--reps", "3", "--csv", str(out), *l2]) == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [*rows[0]] == CSV_HEADER
         methods = [(r["method"], r["sigma"]) for r in rows]
-        assert len(rows) == 4
+        assert len(rows) == 4 + 2 * len(l2)
         assert sum(m == "exact" for m, _ in methods) == 2
         assert sum(m == "slices-qf" for m, _ in methods) == 2
+        assert sum(m == "slices-l2" for m, _ in methods) == 2 * len(l2)
         for r in rows:
             assert int(r["wall_time_ns"]) > 0
             assert float(r["psnr_db"]) > 0 or math.isinf(float(r["psnr_db"]))

@@ -73,6 +73,11 @@ class TestSliceFilter1D:
         with pytest.raises(ValueError):
             slice_filter_1d(np.zeros(30), SliceKernel((2,), (1.0,)))
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 5), (1, 1)])
+    def test_rejects_empty_or_not_1d(self, shape):
+        with pytest.raises(ValueError, match="^need a non-empty 1D signal$"):
+            slice_filter_1d(np.zeros(shape), table_kernel())
+
     def test_shift_covariance_interior(self):
         rng = np.random.default_rng(13)
         sig = rng.random(128)
