@@ -19,8 +19,17 @@ from .filtering import as_float
 
 
 # One header field: skip whitespace and # comments, then take one run of
-# non-space bytes.  The repeat is possessive, so a # never starts a field.
-_FIELD = re.compile(rb"(?:\s|#[^\n]*)*+(\S+)")
+# non-space bytes that does not start with #.  A comment must run to the end
+# of its line or of the data, so backtracking cannot start a field inside it.
+_FIELD = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
+
+
+def _number(token: bytes) -> int | None:
+    """A header number of plain ASCII digits, else None."""
+    try:
+        return int(token) if token.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _sample_type(maxval: int) -> np.dtype:
@@ -44,13 +53,12 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
             raise ValueError(f"{path}: not a binary PGM (P5) file")
         fields.append(field[1])
         end = field.end()
-    _, width, height, maxval = fields
-    if not (width.isdigit() and height.isdigit()):
-        size = (width + b" " + height).decode("latin-1")
-        raise ValueError(f"{path}: bad image size {size!r}")
-    if not maxval.isdigit():
-        raise ValueError(f"{path}: bad maxval {maxval.decode('latin-1')!r}")
-    width, height, maxval = int(width), int(height), int(maxval)
+    _, w, h, m = fields
+    width, height, maxval = _number(w), _number(h), _number(m)
+    if width is None or height is None:
+        raise ValueError(f"{path}: bad image size {(w + b' ' + h).decode('latin-1')!r}")
+    if maxval is None:
+        raise ValueError(f"{path}: bad maxval {m.decode('latin-1')!r}")
     if width <= 0 or height <= 0:
         raise ValueError(f"{path}: bad image size {width}x{height}")
     if not (0 < maxval < 65536):

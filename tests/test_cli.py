@@ -57,7 +57,7 @@ class TestPgm:
         with pytest.raises(ValueError):
             read_pgm(path)
 
-    @pytest.mark.parametrize("data", [b"", b"P5 4 4", b"# only a comment\n"])
+    @pytest.mark.parametrize("data", [b"", b"P5 4 4", b"# only a comment\n", b"P5 4 4 #x"])
     def test_truncated_header_names_the_file(self, tmp_path, data):
         path = tmp_path / "t.pgm"
         path.write_bytes(data)
@@ -380,7 +380,11 @@ class TestFilterCommand:
         assert main(["filter", str(src), str(dst), "--sigma", "50"]) == 0
         assert dst.read_bytes() == src.read_bytes()
 
-    @pytest.mark.parametrize("size", [b"0 4", b"4 0", b"-2 -3", b"3x 2", b"2_0 1", b"+2 2"])
+    @pytest.mark.parametrize(
+        "size",
+        [b"0 4", b"4 0", b"-2 -3", b"3x 2", b"2_0 1", b"+2 2",
+         pytest.param(b"0" * 4400 + b"4 4", id="4400-digits")],
+    )
     def test_bad_size_exit_2(self, tmp_path, capsys, size):
         src = tmp_path / "s.pgm"
         src.write_bytes(b"P5 " + size + b" 255\n" + bytes(16))
@@ -388,7 +392,9 @@ class TestFilterCommand:
         assert rc == 2
         assert f"{src}: bad image size" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("maxval", [b"2x5", b"0", b"65536", b"+255"])
+    @pytest.mark.parametrize(
+        "maxval", [b"2x5", b"0", b"65536", b"+255", pytest.param(b"0" * 4400 + b"255", id="4400-digits")]
+    )
     def test_bad_maxval_exit_2(self, tmp_path, capsys, maxval):
         src = tmp_path / "s.pgm"
         src.write_bytes(b"P5 4 4 " + maxval + b"\n" + bytes(32))
