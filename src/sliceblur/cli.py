@@ -45,7 +45,8 @@ def cmd_filter(args) -> int:
         loaded = params.load_params(args.params)
         fitted = (loaded.partition, loaded.sigma0)
     kernel = approx.gaussian_kernel(args.sigma, args.k, fitted)
-    image, maxval = pgm.read_pgm(args.input)
+    # 16-bit files too: the float32 filter keeps them within a level
+    image, maxval = pgm.read_pgm(args.input, pixels=np.float32)
     out = separable_filter_2d(image, kernel)
     pgm.write_pgm(args.output, out, maxval)
     return 0
@@ -89,7 +90,8 @@ def cmd_bench(args) -> int:
         raise FileNotFoundError(f"no .pgm images in {args.corpus_dir}")
     if args.reps < 3:
         raise ValueError("need at least 3 repetitions")
-    images = [(p.stem, pgm.read_pgm(p)[0]) for p in corpus]
+    # read as filter reads them, so the slice rows time what it runs
+    images = [(p.stem, pgm.read_pgm(p, pixels=np.float32)[0]) for p in corpus]
     # per arm, the params of each k (None: the builtin partition)
     arms = [("slices-qf", dict.fromkeys(args.k))]
     if args.l2:

@@ -20,13 +20,23 @@ formulas.
 
 A float32 input is filtered in float32; any other input is converted to
 float64 first (``as_float``).  Each pass is bound by the bytes it moves,
-so float32 runs about 1.6-2.2x faster at 1024² and 2048².  The running
-sums of a row or column of n samples in [0, 1] reach n, so the float32
-error grows about linearly with n: on 8-bit 1/f images at sigma 2 (k=3,
-two images per size) the largest difference from the float64 result was
-2.2e-5 at n = 1024, 5.2e-5 at 2048 and 9.3e-5 at 4096, under 0.03 of an
-8-bit step (2.7e-5, 5.3e-5 and 1.1e-4 with rows summed by a plain
-``np.cumsum``).
+so float32 runs about 1.6-2.2x faster at 1024² and 2048².  The float32
+error grows with the running sums, and the sums of a row or column of n
+samples in [0, 1] reach n.  So float32 sums are taken of f - 1/2
+(``_centre``), whose sums stay far smaller on images that use their
+range: a unit-gain kernel commutes with an offset, filter(f - c) + c =
+filter(f), and the ramps of f - c are as linear as those of f.  The
+column passes subtract c as they copy the image into their running-sum
+buffer or scratch, and the row pass adds c back to each block of its
+output while the block is in the cache.  float64 sums stay uncentred (c
+= 0) and so are unchanged, bit for bit.  The largest difference from the
+float64 result, in 16-bit levels, on 16-bit 1/f images (k=5, two images
+per size) was 0.35, 0.77 and 1.77 at n = 1024, 2048 and 4096 at sigma 1
+(3.3, 6.7 and 14.3 uncentred), and 0.10, 0.40 and 0.60 at sigma 8 (0.71,
+1.28 and 2.51).  On 8-bit images at sigma 2, k=3, it was 2.8e-6, 7.9e-6
+and 1.6e-5 (2.5e-5, 5.1e-5 and 1.1e-4 uncentred), under 0.005 of an
+8-bit step.  A float32 constant image filters to the constant only
+within 1/2 * |DC gain - 1| (at most 5e-7).
 
 Every running sum is checked before its slice terms are read: the two
 end entries of its clamp extension, I(-P-1) and I(n+P-1), must be finite
@@ -35,12 +45,16 @@ extension, and in a sum built in one chain of additions, a NaN or
 infinite pixel, or a prefix sum that overflows, makes I(n+P-1)
 non-finite.  (A row block whose two-lane sum, see below, overflows is
 summed again in one chain before the check.  A non-finite pixel reaches
-the end of its lane, and so I(n-1), either way.)  All three entry points
-refuse such an input with a ``ValueError`` that counts the non-finite
-pixels, or else names the row or column sum that overflows.
-Only the cumulative sums, the ramps and these checks run with numpy's
-overflow and invalid warnings off (in ``filter_at``, also the column
-slice terms it opens and closes at indices inside the image).
+the end of its lane, and so I(n-1), either way.)  A slice term I(hi) -
+I(lo) can still overflow between finite ends.  In a column pass that
+leaves a non-finite value in the row pass's input, whose row sums then
+fail the check, and ``slice_filter_1d`` checks its 1D output.  All three
+entry points refuse such an input with a ``ValueError`` that counts the
+non-finite pixels of the caller's input, or else names the row or column
+sum that overflows.  Only a slice term of the 2D row pass that overflows
+is not refused: its numpy warning is left on.  The cumulative sums, the
+ramps, these checks and the column slice terms run with numpy's overflow
+and invalid warnings off.
 
 ``separable_filter_2d`` filters the columns first, then the rows of the
 result in place.  Both passes stream through blocks of about ``_BLOCK``
@@ -50,14 +64,15 @@ in the L2 cache:
 * The column pass (``_column_pass``) builds I down every column in an
   (h + 2P + 1) x w extended buffer, a block of image rows at a time while
   the block is in the cache.  A row of more than ``_NARROW`` (256)
-  samples is copied in and gets the previous row added: one contiguous
+  samples is centred into it and gets the previous row added: one contiguous
   row add each, where ``np.cumsum(axis=0)`` walks every column with a
   whole row's stride and was 1.2x (float64) to 1.4x (float32) slower over
   a 1024² column pass.  On narrower rows numpy's cost per call, about
   1 µs a row add, is most of the work, so ``_narrow_column_sums`` takes
   one ``np.cumsum(axis=0)`` per block instead.  It reads the image, or,
-  for a later block or an image whose rows are not contiguous, a scratch
-  copy whose first row has the previous block's last sum added, and
+  for a later block, a float32 image or an image whose rows are not
+  contiguous, a centred scratch copy whose first row has the previous
+  block's last sum added, and
   writes into the buffer: in place, numpy would first copy an odd width's
   operand.  Pairs of columns are viewed as complex numbers, so that one
   value carries two columns, each down its own chain, and an odd width's
@@ -85,8 +100,9 @@ in the L2 cache:
   reads must be contiguous, which every caller's are.  The first term is
   written straight into them, so a block takes 3k - 1 whole-block passes
   (k subtractions, k multiplications, k - 1 accumulations) and no zero
-  fill.  The number of rows per block depends on the image width only, so
-  the number of blocks does not change with sigma.
+  fill, and in float32 one more, the addition of c.  The number of rows
+  per block depends on the image width only, so the number of blocks
+  does not change with sigma.
 
 ``filter_at`` needs the column pass at the probed rows only.  It streams
 the same column running sum through one w-wide accumulator, one image row
@@ -94,11 +110,12 @@ at a time, and works only at the 2k indices of I that each probed row's
 column slice terms read, in increasing order.  A term opens at its lower
 index, where it keeps a copy of I, and closes at its upper one, where it
 subtracts that copy in place and goes into its row in ``_sum_slices``'
-order.  Indices outside the image take I from the ramp formulas.  The row
-pass then runs on the probed rows alone, so the values are bit-identical
-to ``separable_filter_2d``'s.  A call reads every pixel once, whatever
-sigma is, and holds the probed rows and one row per open term, not an
-image.  As it streams, it also sums every image row, a block at a time
+order.  Indices outside the image take I from the ramp formulas.  A
+float32 block of image rows is first centred into one block of scratch.
+The row pass then runs on the probed rows alone, so the values are
+bit-identical to ``separable_filter_2d``'s.  A call reads every pixel
+once, whatever sigma is, and holds the probed rows and one row per open
+term, not an image.  As it streams, it also sums every image row, a block at a time
 while the block is in the cache, so that an image row whose sum
 overflows is refused although no probe reads it.  (``separable_filter_2d``
 checks the running sums of the rows it filters, those of the
@@ -128,6 +145,14 @@ def as_float(a) -> np.ndarray:
     is, anything else converted to float64."""
     a = np.asarray(a)
     return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
+def _centre(dtype) -> float:
+    """The offset c that the running sums of a ``dtype`` input subtract:
+    they sum f - c, and the row pass adds c back to its output.  A constant,
+    not a statistic of the image: centred on its own mean, a one-pixel
+    image would sum to 0, and so never be refused, whatever its value."""
+    return 0.5 if dtype == np.float32 else 0.0
 
 
 def _check_kernel(kernel: SliceKernel):
@@ -185,22 +210,28 @@ def _sum_slices(window, kernel: SliceKernel, out: np.ndarray, term: np.ndarray):
         out += term
 
 
-def _check_sums(a: np.ndarray, ends, what: str):
-    """Refuse ``a`` unless ``ends``, end entries of running sums over it,
-    are all finite; ``what`` names the sums, "row" or "column"."""
+def _check_sums(image: np.ndarray, ends, what: str, rows=None):
+    """Refuse ``image``, the caller's input, unless ``ends``, end entries of
+    running sums computed from it, are all finite; ``what`` names the sums,
+    "row" or "column".  ``rows`` are the row pass's input rows whose sums
+    ``ends`` ends: a non-finite value there, from a finite ``image``, is a
+    column slice term that overflowed."""
     if not np.isfinite(ends).all():
-        bad = a.size - np.count_nonzero(np.isfinite(a))
-        if not bad:
-            raise ValueError(f"cannot filter: a {what} sum overflows {a.dtype}")
-        raise ValueError(f"cannot filter {bad} non-finite pixel(s) (NaN or inf)")
+        bad = image.size - np.count_nonzero(np.isfinite(image))
+        if bad:
+            raise ValueError(f"cannot filter {bad} non-finite pixel(s) (NaN or inf)")
+        if rows is not None and not np.isfinite(rows).all():
+            what = "column"
+        raise ValueError(f"cannot filter: a {what} sum overflows {image.dtype}")
 
 
-def _row_blocks(a: np.ndarray, pad: int):
+def _row_blocks(a: np.ndarray, pad: int, image=None):
     """Yield ``(rows, e, term)`` for consecutive blocks of rows of the 2D
     ``a``, whose rows must be contiguous: the slice of rows, their
     cumulative sum along axis 1, clamp-extended by ``pad`` and checked, and
     scratch of the block's shape.  ``e`` and ``term`` are one buffer each,
-    overwritten for every block.
+    overwritten for every block.  A refusal counts the non-finite pixels of
+    ``image``, the caller's input (default ``a``).
 
     The cumulative sum is built from two interleaved lanes, lane[j] the sum
     of the samples of j's parity up to j, so I(j) = lane[j] + lane[j-1].
@@ -240,20 +271,25 @@ def _row_blocks(a: np.ndarray, pad: int):
         np.copyto(e[:, pad + 1 : pad + 1 + n], t)
         with np.errstate(invalid="ignore", over="ignore"):
             _fill_ramps(e.T, block[:, 0], block[:, -1], pad)
-        _check_sums(a, e[:, :: n + 2 * pad], "row")
+        _check_sums(a if image is None else image, e[:, :: n + 2 * pad], "row", block)
         yield slice(r0, r0 + nb), e, t
 
 
-def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray):
-    """Slice-filter every row of the 2D ``a`` into ``out``, which may be
-    ``a`` itself."""
+def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray, image=None):
+    """Slice-filter every row of the 2D ``a``, centred by ``_centre``, into
+    ``out``, which may be ``a`` itself, and add the centre back; ``image``
+    is the caller's input, as in ``_row_blocks``."""
     n = a.shape[1]
-    for rows, e, term in _row_blocks(a, kernel.max_radius):
-        _sum_slices(lambda i: e[:, i : i + n], kernel, out[rows], term)
+    c = _centre(a.dtype)
+    for rows, e, term in _row_blocks(a, kernel.max_radius, image):
+        o = out[rows]
+        _sum_slices(lambda i: e[:, i : i + n], kernel, o, term)
+        if c:  # while the block is in the cache
+            o += c
 
 
-def _narrow_column_sums(image: np.ndarray, mid: np.ndarray, step: int):
-    """Write I down the columns of ``image`` into ``mid``, one
+def _narrow_column_sums(image: np.ndarray, mid: np.ndarray, step: int, c):
+    """Write I of ``image`` - ``c`` down the columns into ``mid``, one
     ``np.cumsum(axis=0)`` per block of ``step`` rows.  Pairs of columns are
     viewed as complex numbers, and an odd width's last column is summed on
     its own."""
@@ -263,12 +299,12 @@ def _narrow_column_sums(image: np.ndarray, mid: np.ndarray, step: int):
     scratch = None
     for r0 in range(0, h, step):
         src, rows = image[r0 : r0 + step], mid[r0 : r0 + step]
-        if r0 or image.strides[1] != image.itemsize:
-            # a contiguous copy, whose first row takes the previous sum
+        if r0 or c or image.strides[1] != image.itemsize:
+            # a contiguous centred copy, whose first row takes the previous sum
             if scratch is None:
                 scratch = _empty((step, w), image.dtype)
             src = scratch[: len(rows)]
-            np.copyto(src, image[r0 : r0 + step])
+            np.subtract(image[r0 : r0 + step], c, out=src)
             if r0:
                 src[0] += mid[r0 - 1]
         # from src into mid: in place, numpy would copy an odd width's operand
@@ -279,32 +315,36 @@ def _narrow_column_sums(image: np.ndarray, mid: np.ndarray, step: int):
 
 
 def _column_pass(image: np.ndarray, kernel: SliceKernel, out: np.ndarray):
-    """Slice-filter every column of the 2D ``image`` into ``out``."""
+    """Slice-filter every column of the 2D ``image``, centred by
+    ``_centre``, into ``out``; the centre is not added back."""
     h, w = image.shape
     pad = kernel.max_radius
+    c = _centre(image.dtype)
     ext = _empty((h + 2 * pad + 1, w), image.dtype)
     mid = ext[pad + 1 : pad + 1 + h]
     step = _block_rows(h, w, image.dtype)
     with np.errstate(invalid="ignore", over="ignore"):
         if w <= _NARROW:
-            _narrow_column_sums(image, mid, step)
+            _narrow_column_sums(image, mid, step, c)
         else:
-            # a block of rows is copied in, and each of its rows gets the
-            # previous one added while the block is in the cache
+            # a block of rows is centred into the buffer, and each of its
+            # rows gets the previous one added while the block is in the cache
             prev = mid[0]
             for r0 in range(0, h, step):
                 rows = mid[r0 : r0 + step]
-                np.copyto(rows, image[r0 : r0 + step])
+                np.subtract(image[r0 : r0 + step], c, out=rows)
                 for cur in rows[1 if r0 == 0 else 0 :]:
                     cur += prev
                     prev = cur
-        _fill_ramps(ext, image[0], image[-1], pad)
-    _check_sums(image, ext[:: h + 2 * pad], "column")
-    term = _empty((step, w), image.dtype)
-    for r0 in range(0, h, step):
-        o = out[r0 : r0 + step]
-        nb = len(o)
-        _sum_slices(lambda i: ext[r0 + i : r0 + i + nb], kernel, o, term[:nb])
+        _fill_ramps(ext, image[0] - c, image[-1] - c, pad)
+        _check_sums(image, ext[:: h + 2 * pad], "column")
+        term = _empty((step, w), image.dtype)
+        # a term that overflows leaves a non-finite value, which the row
+        # pass refuses as a column sum that overflows
+        for r0 in range(0, h, step):
+            o = out[r0 : r0 + step]
+            nb = len(o)
+            _sum_slices(lambda i: ext[r0 + i : r0 + i + nb], kernel, o, term[:nb])
 
 
 def _column_pass_at(image: np.ndarray, kernel: SliceKernel, ys) -> np.ndarray:
@@ -314,6 +354,7 @@ def _column_pass_at(image: np.ndarray, kernel: SliceKernel, ys) -> np.ndarray:
     h, w = image.shape
     dtype = image.dtype
     pad = kernel.max_radius
+    c = _centre(dtype)
     weights = kernel.weights.tolist()
     # The term of slice i at row ys[r] opens at lo = y - p_i - 1, where it
     # keeps a copy of I(lo), and closes at hi = y + p_i, where that copy is
@@ -341,17 +382,22 @@ def _column_pass_at(image: np.ndarray, kernel: SliceKernel, ys) -> np.ndarray:
         for t in opens.get(j, ()):
             held[t] = value.copy()
 
-    first, last = image[0], image[-1]
+    # a term that overflows leaves a non-finite value, which the row pass
+    # refuses as a column sum that overflows
     with np.errstate(invalid="ignore", over="ignore"):
+        first, last = image[0] - c, image[-1] - c
         _check_sums(image, first * dtype.type(-pad), "column")  # I(-P-1)
-    for j in (j for j in walk if j < 0):
-        visit(j, first * dtype.type(j + 1))
+        for j in (j for j in walk if j < 0):
+            visit(j, first * dtype.type(j + 1))
 
-    acc = np.full(w, -0.0, dtype)  # -0.0 + x is x for every x
-    step = _block_rows(h, w, dtype)
-    for r0 in range(0, h, step):
-        block = image[r0 : r0 + step]
-        with np.errstate(invalid="ignore", over="ignore"):
+        acc = np.full(w, -0.0, dtype)  # -0.0 + x is x for every x
+        step = _block_rows(h, w, dtype)
+        # float32 rows are centred into scratch, float64 ones read as they are
+        scratch = _empty((step, w), dtype) if c else None
+        for r0 in range(0, h, step):
+            block = image[r0 : r0 + step]
+            if c:
+                block = np.subtract(block, c, out=scratch[: len(block)])
             for j, row in enumerate(block, r0):
                 acc += row
                 if j in opens or j in closes:
@@ -359,10 +405,9 @@ def _column_pass_at(image: np.ndarray, kernel: SliceKernel, ys) -> np.ndarray:
             # the block is still in the cache
             _check_sums(image, np.einsum("ij->i", block), "row")
 
-    with np.errstate(invalid="ignore", over="ignore"):
         _check_sums(image, last * dtype.type(pad) + acc, "column")  # I(h+P-1)
-    for j in (j for j in walk if j >= h):
-        visit(j, last * dtype.type(j - h + 1) + acc)
+        for j in (j for j in walk if j >= h):
+            visit(j, last * dtype.type(j - h + 1) + acc)
     return out
 
 
@@ -372,10 +417,15 @@ def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
     if signal.ndim != 1 or signal.size < 1:
         raise ValueError("need a non-empty 1D signal")
     _check_kernel(kernel)
-    # filtered in place in a contiguous copy, as _row_blocks needs
+    # filtered in place in a contiguous centred copy, as _row_blocks needs
     out = _empty(signal.shape, signal.dtype)
-    np.copyto(out, signal)
-    _row_pass(out[None, :], kernel, out[None, :])
+    np.subtract(signal, _centre(signal.dtype), out=out)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _row_pass(out[None, :], kernel, out[None, :], signal)
+    # a slice term can overflow between finite ends; one pass over a 1D
+    # output finds it
+    if not np.isfinite(out).all():
+        raise ValueError(f"cannot filter: a row sum overflows {out.dtype}")
     return out
 
 
@@ -392,7 +442,7 @@ def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
     _check_kernel(kernel)
     out = _empty(image.shape, image.dtype)
     _column_pass(image, kernel, out)
-    _row_pass(out, kernel, out)
+    _row_pass(out, kernel, out, image)
     return out
 
 
@@ -423,6 +473,6 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
 
     ys = sorted({y for _, y in pts})
     rows = _column_pass_at(image, kernel, ys)
-    _row_pass(rows, kernel, rows)
+    _row_pass(rows, kernel, rows, image)
     index = {y: r for r, y in enumerate(ys)}
     return rows[[index[y] for _, y in pts], [x for x, _ in pts]]

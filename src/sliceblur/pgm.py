@@ -1,8 +1,9 @@
 """Binary PGM (P5) grayscale image I/O.
 
-Pixels map linearly to [0, 1] floats on read: float32 for 8-bit files,
-so that the filters run in float32, and float64 for 16-bit files, whose
-levels a float32 filter would miss by several steps at 2048².  Writing
+Pixels map linearly to [0, 1] floats on read: by default float32 for
+8-bit files and float64 for 16-bit files.  ``sliceblur filter`` asks for
+float32 at both depths, and its float32 filter keeps 16-bit output within
+about a level of the float64 result (see the ``filtering`` module).  Writing
 quantizes with round-to-nearest and rejects NaN and infinite pixels.  Both
 8-bit and 16-bit (big-endian) maxvals are supported.  Headers are written
 in a fixed form so equal images produce byte-identical files.
@@ -37,10 +38,12 @@ def _sample_type(maxval: int) -> np.dtype:
     return np.dtype(">u2" if maxval > 255 else np.uint8)
 
 
-def read_pgm(path) -> tuple[np.ndarray, int]:
+def read_pgm(path, *, pixels=None) -> tuple[np.ndarray, int]:
     """Read a P5 file; returns (float image in [0, 1], maxval).
 
-    Width, height and maxval must be plain ASCII digits.
+    ``pixels`` is the image's float type; by default float32 for maxval up
+    to 255 and float64 above.  Width, height and maxval must be plain ASCII
+    digits.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -68,8 +71,9 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
     if len(data) - (end + 1) < count * dtype.itemsize:
         raise ValueError(f"{path}: truncated pixel data")
     raw = np.frombuffer(data, dtype=dtype, count=count, offset=end + 1)
-    pixel_type = np.float32 if maxval <= 255 else np.float64
-    return np.divide(raw.reshape(height, width), maxval, dtype=pixel_type), maxval
+    if pixels is None:
+        pixels = np.float32 if maxval <= 255 else np.float64
+    return np.divide(raw.reshape(height, width), maxval, dtype=pixels), maxval
 
 
 def write_pgm(path, image, maxval: int = 255):

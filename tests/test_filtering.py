@@ -230,6 +230,19 @@ class TestDtype:
         exact = exact_gaussian_2d(img64, sigma)
         assert abs(psnr(out32, exact) - psnr(out64, exact)) <= 0.01
 
+    @pytest.mark.parametrize("n, bound", [(1024, 0.5), (2048, 1.0)])
+    def test_float32_bound_on_16bit(self, n, bound):
+        # The float32 sums of f - 1/2 keep 16-bit data within half a level
+        # of the float64 result at 1024² and within one level at 2048²
+        # (0.33 and 0.72 measured, at sigma 1, k=5)
+        levels = np.rint(make_image("one-over-f", n, n, seed=5) * 65535)
+        img32, img64 = np.divide(levels, 65535, dtype=np.float32), levels / 65535
+        for sigma in (1.0, 2.0, 8.0):
+            for k in (3, 5):
+                kern = table_kernel(k, sigma)
+                diff = separable_filter_2d(img32, kern) - separable_filter_2d(img64, kern)
+                assert np.abs(diff).max() * 65535 <= bound
+
 
 class TestFilterAt:
     def test_all_pixels_identical(self):
@@ -243,6 +256,21 @@ class TestFilterAt:
             np.testing.assert_array_equal(
                 got, full[tuple(zip(*[(y, x) for x, y in points]))]
             )
+
+    @pytest.mark.parametrize("block", [filtering._BLOCK, 4096])
+    @pytest.mark.parametrize("w", [filtering._NARROW, filtering._NARROW + 1])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bits_on_both_column_paths(self, monkeypatch, dtype, w, block):
+        # filter_at centres float32 rows into scratch a block at a time; the
+        # column pass centres them as it sums them, by np.cumsum (w <=
+        # _NARROW) or row adds, over blocks of 1-4 rows at 4096 bytes
+        monkeypatch.setattr(filtering, "_BLOCK", block)
+        img = np.random.default_rng(w).random((40, w)).astype(dtype)
+        kern = table_kernel(3, 3.0)
+        full = separable_filter_2d(img, kern)
+        points = [(x, y) for y in range(40) for x in (0, 1, w // 2, w - 1)]
+        want = np.array([full[y, x] for x, y in points])
+        assert filter_at(img, kern, points).tobytes() == want.tobytes()
 
     def test_constant_center(self):
         img = np.full((33, 33), 0.5)
@@ -351,14 +379,34 @@ def test_rejects_overflowing_ramp(entry, sums, dtype):
         entry(img, kern)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("entry, sums", [
+    (lambda img, kern: slice_filter_1d(img[0], kern), "row"),
+    (separable_filter_2d, "column"),
+    (lambda img, kern: filter_at(img, kern, [(0, 0)]), "column"),
+], ids=["slice_filter_1d", "separable_filter_2d", "filter_at"])
+def test_rejects_overflowing_slice_term(entry, sums, dtype):
+    # one finite pixel v: the ramp ends I(-4) = -3v and I(3) = 4v are
+    # finite, but the slice term I(3) - I(-4) = 7v is not; the image is not
+    # blamed for it
+    img = np.full((1, 1), np.finfo(dtype).max / 5, dtype)
+    kern = SliceKernel((3,), (1.0 / 7.0,))
+    with pytest.raises(ValueError, match=f"^cannot filter: a {sums} sum overflows {img.dtype}"):
+        entry(img, kern)
+
+
 def test_slice_term_overflow_warns():
-    # I = [-1e308, 0, 1e308, 1e308] and the ramp ends I(-2) = 1e308 and
-    # I(4) = 1e308 are finite, so the input is accepted; only the term
-    # I(3) - I(0) overflows, and numpy's warning about it is not silenced
-    kern = SliceKernel((1,), (1.0 / 3.0,))
+    # The one overflow no check covers: a slice term of the 2D row pass.
+    # The column pass keeps 0.98 of each row and its sums stay within v;
+    # row 0's I = 0.98 * [-v, 0, v, v] and its ramp ends are finite, so the
+    # image is accepted, but the term I(3) - I(0) overflows, and numpy's
+    # warning about it is not silenced
+    kern = SliceKernel((0, 1), (0.97, 0.01))
+    v = 1e308
+    img = np.array([[-v, v, v, 0.0], [v, -v, -v, 0.0]])
     with pytest.warns(RuntimeWarning, match="overflow"):
-        out = slice_filter_1d(np.array([-1e308, 1e308, 1e308, 0.0]), kern)
-    assert np.isinf(out[2]) and np.isfinite(out[[0, 1, 3]]).all()
+        out = separable_filter_2d(img, kern)
+    assert np.isinf(out[:, 2]).all() and np.isfinite(out[:, [0, 1, 3]]).all()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
