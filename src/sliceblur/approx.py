@@ -330,6 +330,8 @@ def scale_to_sigma(base: SliceKernel, sigma: float) -> SliceKernel:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if base.sigma is None:
         raise ValueError("base kernel does not carry its native sigma")
+    if not (math.isfinite(base.sigma) and base.sigma > 0):
+        raise ValueError(f"base kernel's native sigma {base.sigma} is not positive and finite")
     ratio = sigma / base.sigma
     if not ratio * base.max_radius < 2.0**63:
         raise ValueError(f"sigma {sigma} is too large: its slice radii overflow int64")

@@ -38,23 +38,28 @@ and 1.6e-5 (2.5e-5, 5.1e-5 and 1.1e-4 uncentred), under 0.005 of an
 8-bit step.  A float32 constant image filters to the constant only
 within 1/2 * |DC gain - 1| (at most 5e-7).
 
-Every running sum is checked before its slice terms are read: the two
-end entries of its clamp extension, I(-P-1) and I(n+P-1), must be finite
-(``_check_sums``).  The ramps are linear, so that bounds the whole
-extension, and in a sum built in one chain of additions, a NaN or
-infinite pixel, or a prefix sum that overflows, makes I(n+P-1)
+Every running sum that the row pass reads is checked before its slice
+terms are: the two end entries of its clamp extension, I(-P-1) and
+I(n+P-1), must be finite (``_check_sums``).  The ramps are linear, so that
+bounds the whole extension, and in a sum built in one chain of additions,
+a NaN or infinite pixel, or a prefix sum that overflows, makes I(n+P-1)
 non-finite.  (A row block whose two-lane sum, see below, overflows is
 summed again in one chain before the check.  A non-finite pixel reaches
-the end of its lane, and so I(n-1), either way.)  A slice term I(hi) -
-I(lo) can still overflow between finite ends.  In a column pass that
-leaves a non-finite value in the row pass's input, whose row sums then
-fail the check, and ``slice_filter_1d`` checks its 1D output.  All three
-entry points refuse such an input with a ``ValueError`` that counts the
-non-finite pixels of the caller's input, or else names the row or column
-sum that overflows.  Only a slice term of the 2D row pass that overflows
-is not refused: its numpy warning is left on.  The cumulative sums, the
-ramps, these checks and the column slice terms run with numpy's overflow
-and invalid warnings off.
+the end of its lane, and so I(n-1), either way.)  The row pass is the
+last stage of all three entry points, and it makes every refusal of
+theirs.  The column pass checks nothing itself: a non-finite pixel, or a
+column sum or term that overflows, leaves a non-finite value in the row
+pass's input, since row 0's widest column term reads I(-P-1) and row
+h-1's reads I(h+P-1), and the row sums through that value fail the check.
+The row pass's slice terms run with numpy raising on overflow, so a term
+I(hi) - I(lo) that overflows between finite ends is refused too.  Each
+refusal is a ``ValueError`` that counts the non-finite pixels of the
+caller's input, or else names the row or column sum that overflows: the
+column sums when the row pass's input holds a non-finite value that the
+caller's input lacks.  The cumulative sums, the ramps and the column
+slice terms run with numpy's overflow and invalid warnings off.
+(``filter_at``'s column pass also checks its ramp ends and every image
+row's sum, see below, which cover sums that no probed row reads.)
 
 ``separable_filter_2d`` filters the columns first, then the rows of the
 result in place.  Both passes stream through blocks of about ``_BLOCK``
@@ -62,26 +67,25 @@ bytes, so that a block's running sum, its slice terms and its output stay
 in the L2 cache:
 
 * The column pass (``_column_pass``) builds I down every column in an
-  (h + 2P + 1) x w extended buffer, a block of image rows at a time while
-  the block is in the cache.  A row of more than ``_NARROW`` (256)
-  samples is centred into it and gets the previous row added: one contiguous
-  row add each, where ``np.cumsum(axis=0)`` walks every column with a
-  whole row's stride and was 1.2x (float64) to 1.4x (float32) slower over
-  a 1024² column pass.  On narrower rows numpy's cost per call, about
-  1 µs a row add, is most of the work, so ``_narrow_column_sums`` takes
-  one ``np.cumsum(axis=0)`` per block instead.  It reads the image, or,
-  for a later block, a float32 image or an image whose rows are not
-  contiguous, a centred scratch copy whose first row has the previous
-  block's last sum added, and
-  writes into the buffer: in place, numpy would first copy an odd width's
-  operand.  Pairs of columns are viewed as complex numbers, so that one
-  value carries two columns, each down its own chain, and an odd width's
-  last column is summed on its own.  Both ways make the same additions
-  in the same order, so the sums agree bit for bit.  Over whole column
-  passes at k=5 the crossover was 320-384 samples per row in float64 and
-  256-320 in float32; at 128² float64 the pass took 179 against 276 µs.
-  The column slice terms are then summed into the output a block of rows
-  at a time, and the buffer is freed before the row pass starts.
+  (h + 2P + 1) x w extended buffer, in one loop over blocks of image rows.
+  Each block is centred, its first row gets the previous block's last sum
+  added, and its rows are summed while the block is in the cache.  A row
+  of more than ``_NARROW`` (256) samples is centred into the buffer, and
+  each row gets the previous row added: one contiguous row add each, where
+  ``np.cumsum(axis=0)`` walks every column with a whole row's stride and
+  was 1.2x (float64) to 1.4x (float32) slower over a 1024² column pass.
+  On narrower rows numpy's cost per call, about 1 µs a row add, is most
+  of the work, so the block is centred into scratch instead, and one
+  ``np.cumsum(axis=0)`` writes its sums into the buffer (in place, numpy
+  would first copy an odd width's operand).  Pairs of columns are viewed
+  as complex numbers, so that one value carries two columns, each down
+  its own chain, and an odd width's last column is summed on its own.
+  Both ways make the same additions in the same order, so the sums agree
+  bit for bit.  Over whole column passes at k=5 the crossover was
+  320-384 samples per row in float64 and 256-320 in float32; at 128²
+  float64 the pass took 179 against 276 µs.  The column slice terms are
+  then summed into the output a block of rows at a time (for narrow rows,
+  in the scratch), and the buffer is freed before the row pass starts.
 * The row pass (``_row_pass``) takes the rows a block at a time, writes
   the block's extended cumulative sum into one reused buffer and sums its
   slice terms into the output rows.  ``np.cumsum`` along a row is one
@@ -214,8 +218,8 @@ def _check_sums(image: np.ndarray, ends, what: str, rows=None):
     """Refuse ``image``, the caller's input, unless ``ends``, end entries of
     running sums computed from it, are all finite; ``what`` names the sums,
     "row" or "column".  ``rows`` are the row pass's input rows whose sums
-    ``ends`` ends: a non-finite value there, from a finite ``image``, is a
-    column slice term that overflowed."""
+    ``ends`` ends: a non-finite value there, from a finite ``image``, comes
+    from a column sum or slice term that overflowed."""
     if not np.isfinite(ends).all():
         bad = image.size - np.count_nonzero(np.isfinite(image))
         if bad:
@@ -278,40 +282,19 @@ def _row_blocks(a: np.ndarray, pad: int, image=None):
 def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray, image=None):
     """Slice-filter every row of the 2D ``a``, centred by ``_centre``, into
     ``out``, which may be ``a`` itself, and add the centre back; ``image``
-    is the caller's input, as in ``_row_blocks``."""
+    is the caller's input, as in ``_row_blocks``.  A slice term that
+    overflows is refused."""
     n = a.shape[1]
     c = _centre(a.dtype)
-    for rows, e, term in _row_blocks(a, kernel.max_radius, image):
-        o = out[rows]
-        _sum_slices(lambda i: e[:, i : i + n], kernel, o, term)
-        if c:  # while the block is in the cache
-            o += c
-
-
-def _narrow_column_sums(image: np.ndarray, mid: np.ndarray, step: int, c):
-    """Write I of ``image`` - ``c`` down the columns into ``mid``, one
-    ``np.cumsum(axis=0)`` per block of ``step`` rows.  Pairs of columns are
-    viewed as complex numbers, and an odd width's last column is summed on
-    its own."""
-    h, w = image.shape
-    pair = np.dtype(f"c{2 * image.itemsize}")
-    even = w - w % 2
-    scratch = None
-    for r0 in range(0, h, step):
-        src, rows = image[r0 : r0 + step], mid[r0 : r0 + step]
-        if r0 or c or image.strides[1] != image.itemsize:
-            # a contiguous centred copy, whose first row takes the previous sum
-            if scratch is None:
-                scratch = _empty((step, w), image.dtype)
-            src = scratch[: len(rows)]
-            np.subtract(image[r0 : r0 + step], c, out=src)
-            if r0:
-                src[0] += mid[r0 - 1]
-        # from src into mid: in place, numpy would copy an odd width's operand
-        if even:
-            np.cumsum(src[:, :even].view(pair), axis=0, out=rows[:, :even].view(pair))
-        if w % 2:
-            np.cumsum(src[:, -1], out=rows[:, -1])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for rows, e, term in _row_blocks(a, kernel.max_radius, image):
+                o = out[rows]
+                _sum_slices(lambda i: e[:, i : i + n], kernel, o, term)
+                if c:  # while the block is in the cache
+                    o += c
+    except FloatingPointError:
+        raise ValueError(f"cannot filter: a row sum overflows {a.dtype}") from None
 
 
 def _column_pass(image: np.ndarray, kernel: SliceKernel, out: np.ndarray):
@@ -323,24 +306,37 @@ def _column_pass(image: np.ndarray, kernel: SliceKernel, out: np.ndarray):
     ext = _empty((h + 2 * pad + 1, w), image.dtype)
     mid = ext[pad + 1 : pad + 1 + h]
     step = _block_rows(h, w, image.dtype)
+    # narrow blocks are centred into scratch, which later holds the slice
+    # terms; wide ones get their term buffer only after the ramps, whose
+    # temporaries it would add to the peak (50-150 KB at 1024²)
+    scratch = _empty((step, w), image.dtype) if w <= _NARROW else None
+    pair = np.dtype(f"c{2 * image.itemsize}")
+    even = w - w % 2
     with np.errstate(invalid="ignore", over="ignore"):
-        if w <= _NARROW:
-            _narrow_column_sums(image, mid, step, c)
-        else:
-            # a block of rows is centred into the buffer, and each of its
-            # rows gets the previous one added while the block is in the cache
-            prev = mid[0]
-            for r0 in range(0, h, step):
-                rows = mid[r0 : r0 + step]
-                np.subtract(image[r0 : r0 + step], c, out=rows)
-                for cur in rows[1 if r0 == 0 else 0 :]:
+        for r0 in range(0, h, step):
+            rows = mid[r0 : r0 + step]
+            src = rows if scratch is None else scratch[: len(rows)]
+            np.subtract(image[r0 : r0 + step], c, out=src)
+            if r0:
+                src[0] += mid[r0 - 1]
+            if scratch is None:
+                # each row gets the previous one added while the block is in
+                # the cache
+                prev = rows[0]
+                for cur in rows[1:]:
                     cur += prev
                     prev = cur
+            else:
+                # from src into mid: in place, numpy would copy an odd
+                # width's operand
+                if even:
+                    np.cumsum(src[:, :even].view(pair), axis=0, out=rows[:, :even].view(pair))
+                if w % 2:
+                    np.cumsum(src[:, -1], out=rows[:, -1])
         _fill_ramps(ext, image[0] - c, image[-1] - c, pad)
-        _check_sums(image, ext[:: h + 2 * pad], "column")
-        term = _empty((step, w), image.dtype)
-        # a term that overflows leaves a non-finite value, which the row
-        # pass refuses as a column sum that overflows
+        term = _empty((step, w), image.dtype) if scratch is None else scratch
+        # a term that overflows, or reads a sum that did, leaves a non-finite
+        # value, which the row pass refuses as a column sum that overflows
         for r0 in range(0, h, step):
             o = out[r0 : r0 + step]
             nb = len(o)
@@ -420,12 +416,7 @@ def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
     # filtered in place in a contiguous centred copy, as _row_blocks needs
     out = _empty(signal.shape, signal.dtype)
     np.subtract(signal, _centre(signal.dtype), out=out)
-    with np.errstate(invalid="ignore", over="ignore"):
-        _row_pass(out[None, :], kernel, out[None, :], signal)
-    # a slice term can overflow between finite ends; one pass over a 1D
-    # output finds it
-    if not np.isfinite(out).all():
-        raise ValueError(f"cannot filter: a row sum overflows {out.dtype}")
+    _row_pass(out[None, :], kernel, out[None, :], signal)
     return out
 
 
@@ -454,9 +445,10 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
     the corresponding pixels of :func:`separable_filter_2d`.  The call
     reads every pixel once, and its working memory is the probed rows and
     the column slice terms open at one time, not an image.  Like
-    :func:`separable_filter_2d`, it refuses non-finite pixels and
-    overflowing column sums, and any image row whose sum overflows.  A
-    point must lie on the pixel grid: (1.9, 2.7) is refused, not rounded.
+    :func:`separable_filter_2d`, it refuses non-finite pixels, overflowing
+    column sums and row slice terms, and any image row whose sum
+    overflows.  A point must lie on the pixel grid: (1.9, 2.7) is refused,
+    not rounded.
     """
     image = as_float(image)
     if image.ndim != 2 or image.size == 0:

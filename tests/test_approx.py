@@ -391,6 +391,13 @@ class TestScaleToSigma:
             with pytest.raises(ValueError, match=f"sigma .* {sigma}"):
                 scale_to_sigma(self._base(), sigma)
 
+    @pytest.mark.parametrize("sigma0", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_native_sigma(self, sigma0):
+        base = SliceKernel((1, 5), (0.3, 0.05), sigma=sigma0)
+        match = f"^base kernel's native sigma {sigma0} is not positive and finite"
+        with pytest.raises(ValueError, match=match):
+            scale_to_sigma(base, 2.0)
+
     def test_sigma_overflowing_int64_radii(self):
         with pytest.raises(ValueError, match=r"sigma 1e\+300 is too large"):
             scale_to_sigma(self._base(), 1e300)

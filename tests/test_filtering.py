@@ -395,18 +395,19 @@ def test_rejects_overflowing_slice_term(entry, sums, dtype):
         entry(img, kern)
 
 
-def test_slice_term_overflow_warns():
-    # The one overflow no check covers: a slice term of the 2D row pass.
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("entry", [
+    separable_filter_2d, lambda img, kern: filter_at(img, kern, [(2, 0)]),
+], ids=["separable_filter_2d", "filter_at"])
+def test_rejects_overflowing_row_slice_term(entry, dtype):
     # The column pass keeps 0.98 of each row and its sums stay within v;
-    # row 0's I = 0.98 * [-v, 0, v, v] and its ramp ends are finite, so the
-    # image is accepted, but the term I(3) - I(0) overflows, and numpy's
-    # warning about it is not silenced
+    # row 0's I = 0.98 * [-v, 0, v, v] and its ramp ends are finite, but
+    # the term I(3) - I(0) of the row pass overflows
     kern = SliceKernel((0, 1), (0.97, 0.01))
-    v = 1e308
-    img = np.array([[-v, v, v, 0.0], [v, -v, -v, 0.0]])
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        out = separable_filter_2d(img, kern)
-    assert np.isinf(out[:, 2]).all() and np.isfinite(out[:, [0, 1, 3]]).all()
+    v = np.finfo(dtype).max / 1.8
+    img = np.array([[-v, v, v, 0.0], [v, -v, -v, 0.0]], dtype)
+    with pytest.raises(ValueError, match=f"^cannot filter: a row sum overflows {img.dtype}"):
+        entry(img, kern)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

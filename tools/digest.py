@@ -1,0 +1,112 @@
+"""Print one hash per case of a fixed grid of filter calls, so that the
+outputs of two checkouts can be diffed.
+
+Usage (from the repository root):
+
+    python3 tools/digest.py CHECKOUT > digest.txt
+
+The filters come from ``CHECKOUT/src``.  Each line is ``<case> <hash>``,
+the hash a SHA-256 prefix of the output's dtype, shape and bytes, or of
+the text of the exception the call raised.  The grid:
+
+* widths 1, 2, 3, 255, 256, 257 and 1024, heights 1, 7, 40 and 300 (so
+  that both column paths run more than one block of rows);
+* float64 and float32;
+* C, Fortran and reversed (negative-stride) layouts of a seeded random
+  image, and an image of -0.0;
+* a radius-0 kernel, ``gaussian_kernel`` at sigma 2, 5 and 400 (k=5),
+  and a 3-slice kernel;
+* ``separable_filter_2d``, ``filter_at`` at the corners, the centre and
+  a repeated point, and ``slice_filter_1d`` on the first row;
+* plus the radii and weights of ``gaussian_kernel`` at k 3, 4 and 5 over
+  a sigma grid.
+
+Two checkouts filter alike, bit for bit, where their lines agree:
+
+    diff <(python3 tools/digest.py A) <(python3 tools/digest.py B)
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+WIDTHS = (1, 2, 3, 255, 256, 257, 1024)
+HEIGHTS = (1, 7, 40, 300)
+SIGMAS = (0.3, 0.8, 1.0, 2.0, 3.7, 5.0, 12.0, 50.0, 400.0)
+
+
+def _hash(value) -> str:
+    h = hashlib.sha256()
+    if isinstance(value, Exception):
+        h.update(f"{type(value).__name__}: {value}".encode())
+    else:
+        h.update(f"{value.dtype.str} {value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _call(f, *args) -> str:
+    try:
+        return _hash(f(*args))
+    except ValueError as exc:  # a refusal is part of the output
+        return _hash(exc)
+
+
+def digest(sliceblur) -> list[str]:
+    """The ``<case> <hash>`` lines of the grid, computed with the package
+    ``sliceblur``."""
+    approx = sliceblur.approx
+    f = sliceblur.filtering
+    kernels = {
+        "r0": approx.SliceKernel((0,), (1.0,)),
+        "s2": approx.gaussian_kernel(2.0, 5),
+        "s5": approx.gaussian_kernel(5.0, 5),
+        "s400": approx.gaussian_kernel(400.0, 5),
+        "k3": approx.SliceKernel((1, 4, 11), (0.2, 0.05, 0.01)).normalized(),
+    }
+    lines = []
+    for k in (3, 4, 5):
+        for s in SIGMAS:
+            kern = approx.gaussian_kernel(s, k)
+            lines.append(f"kernel-k{k}-s{s} {_hash(kern.radii)}{_hash(kern.weights)}")
+    rng = np.random.default_rng(20)
+    for h in HEIGHTS:
+        for w in WIDTHS:
+            base = rng.random((h, w))
+            layouts = {
+                "C": np.ascontiguousarray(base),
+                "F": np.asfortranarray(base),
+                "rev": base[::-1, ::-1],
+                "neg0": np.full((h, w), -0.0),
+            }
+            points = [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1), (w // 2, h // 2), (0, 0)]
+            for dtype in ("float64", "float32"):
+                for name, image in layouts.items():
+                    img = image.astype(dtype, copy=False)
+                    for kname, kern in kernels.items():
+                        case = f"{h}x{w}-{dtype}-{name}-{kname}"
+                        lines.append(f"2d-{case} {_call(f.separable_filter_2d, img, kern)}")
+                        lines.append(f"at-{case} {_call(f.filter_at, img, kern, points)}")
+                        lines.append(f"1d-{case} {_call(f.slice_filter_1d, img[0], kern)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python3 tools/digest.py CHECKOUT", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
+    import sliceblur.approx
+    import sliceblur.filtering
+
+    print("\n".join(digest(sliceblur)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

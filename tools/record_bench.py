@@ -25,9 +25,10 @@ the medians, to compare with the metric's ``bound`` in ``BENCHMARK.json``.
 A claim should rest on seeds that were not used while the change was
 written, e.g. ``--seeds 11 12 13 14 15 16 17 18 19 20``.
 
-It then times, in-process (with ``--base``, for the base too, in fresh
-interpreters after this checkout's, so host drift between the two is not
-paired out):
+It then times, in this interpreter, the checkout's ``src/sliceblur``
+loaded as ``sliceblur_change`` (with ``--base``, beside the base's, loaded
+as ``sliceblur_base``; in each repetition, which tree's call goes first
+alternates, so that a drift in machine load hits both alike):
 
 * ``separable_filter_2d`` at 512², 1024² and 2048², sigma 5 and 50, k=3,
   for float64 and float32 inputs (a checkout that filters everything in
@@ -52,132 +53,160 @@ e.g. ``git archive <commit> | tar -x -C /tmp/base``.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 # the default seeds, and the run length of every label, so the files compare
 SEEDS = (1, 2, 3)
 SECONDS = 25.0
 
-# Run in a fresh interpreter with the checkout's src/ first on sys.path:
-# median wall time of 15 calls of separable_filter_2d at sigma 5 and 50,
-# interleaved so that a drift in machine load hits both sigmas alike.
-RATIO_SCRIPT = r"""
-import json, statistics, sys, time
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-from sliceblur import approx
-from sliceblur.filtering import separable_filter_2d
-from sliceblur.synth import make_image
+def load(checkout: Path, name: str):
+    """The ``sliceblur`` package of the checkout's ``src/``, imported as
+    ``name`` with its submodules, so that two checkouts load side by side
+    in one interpreter."""
+    init = checkout / "src" / "sliceblur" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.synth")
+    return package
 
-rows = []
-for n in (512, 1024, 2048):
-    image = make_image("one-over-f", n, n, seed=42)
-    kernels = {s: approx.gaussian_kernel(s, 3) for s in (5.0, 50.0)}
+
+def interleaved(trees: dict, rep: int) -> list:
+    """``trees``' items in the order of repetition ``rep``: which tree's
+    call goes first alternates, so that a drift in machine load hits both
+    alike."""
+    items = list(trees.items())
+    return items if rep % 2 == 0 else items[::-1]
+
+
+def sigma_ratio(trees: dict) -> dict:
+    """Per tree: median wall time of 15 calls of separable_filter_2d at
+    sigma 5 and 50, k=3, 512², 1024² and 2048², float64 and float32 input,
+    the sigmas and trees interleaved."""
+    synth = next(iter(trees.values())).synth
+    rows = {side: [] for side in trees}
+    for n in (512, 1024, 2048):
+        image = synth.make_image("one-over-f", n, n, seed=42)
+        kernels = {side: {s: t.approx.gaussian_kernel(s, 3) for s in (5.0, 50.0)}
+                   for side, t in trees.items()}
+        for dtype in ("float64", "float32"):
+            img = image.astype(dtype)
+            times = {side: {5.0: [], 50.0: []} for side in trees}
+            out_dtype = {}
+            for rep in range(15):
+                for side, t in interleaved(trees, rep):
+                    for s, kern in kernels[side].items():
+                        t0 = time.perf_counter_ns()
+                        out = t.filtering.separable_filter_2d(img, kern)
+                        times[side][s].append(time.perf_counter_ns() - t0)
+                        out_dtype[side] = out.dtype.name
+                        out = None  # free the output before the next call
+            for side, tt in times.items():
+                ms = {s: statistics.median(t) / 1e6 for s, t in tt.items()}
+                rows[side].append({
+                    "size": n, "input_dtype": dtype, "output_dtype": out_dtype[side],
+                    "ms_sigma5": ms[5.0], "ms_sigma50": ms[50.0],
+                    "ratio_50_5": ms[50.0] / ms[5.0],
+                })
+    return rows
+
+
+def passes(trees: dict) -> dict:
+    """Per tree: median wall time of 15 calls of each pass of
+    separable_filter_2d at 1024², k=3, in the order that call runs them
+    (the column pass into the output, then the row pass on it in place),
+    sigma 5 and 50 and the trees interleaved.  None for a tree without
+    the passes."""
+    have = {side: t for side, t in trees.items()
+            if all(hasattr(t.filtering, f) for f in ("_column_pass", "_row_pass"))}
+    rows = {side: None if side not in have else [] for side in trees}
+    if not have:
+        return rows
+    image = next(iter(trees.values())).synth.make_image("one-over-f", 1024, 1024, seed=42)
+    kernels = {side: {s: t.approx.gaussian_kernel(s, 3) for s in (5.0, 50.0)}
+               for side, t in have.items()}
     for dtype in ("float64", "float32"):
         img = image.astype(dtype)
-        times = {s: [] for s in kernels}
-        for _ in range(15):
-            for s, kern in kernels.items():
-                out = None  # free the previous output before the next call
-                t0 = time.perf_counter_ns()
-                out = separable_filter_2d(img, kern)
-                times[s].append(time.perf_counter_ns() - t0)
-        ms = {s: statistics.median(t) / 1e6 for s, t in times.items()}
-        rows.append({
-            "size": n, "input_dtype": dtype, "output_dtype": out.dtype.name,
-            "ms_sigma5": ms[5.0], "ms_sigma50": ms[50.0],
-            "ratio_50_5": ms[50.0] / ms[5.0],
-        })
-print(json.dumps(rows))
-"""
+        out = next(iter(have.values())).filtering._empty(img.shape, img.dtype)
+        times = {side: {(s, p): [] for s in (5.0, 50.0) for p in ("column", "row")}
+                 for side in have}
+        for rep in range(15):
+            for side, t in interleaved(have, rep):
+                for s, kern in kernels[side].items():
+                    t0 = time.perf_counter_ns()
+                    t.filtering._column_pass(img, kern, out)
+                    t1 = time.perf_counter_ns()
+                    t.filtering._row_pass(out, kern, out)
+                    t2 = time.perf_counter_ns()
+                    times[side][s, "column"].append(t1 - t0)
+                    times[side][s, "row"].append(t2 - t1)
+        for side, tt in times.items():
+            rows[side] += [
+                {"size": 1024, "dtype": dtype, "sigma": s, "pass": f"_{p}_pass",
+                 "ms": statistics.median(t) / 1e6}
+                for (s, p), t in tt.items()
+            ]
+    return rows
 
-# Run like RATIO_SCRIPT: median wall time of 15 calls of each pass of
-# separable_filter_2d at 1024², k=3, in the order that call runs them (the
-# column pass into the output, then the row pass on it in place), sigma
-# 5 and 50 interleaved.  Prints null for a checkout without the passes.
-PASS_SCRIPT = r"""
-import json, statistics, sys, time
-sys.path.insert(0, sys.argv[1])
-from sliceblur import approx, filtering
-from sliceblur.synth import make_image
 
-if not all(hasattr(filtering, f) for f in ("_column_pass", "_row_pass")):
-    print("null")
-    sys.exit()
-image = make_image("one-over-f", 1024, 1024, seed=42)
-kernels = {s: approx.gaussian_kernel(s, 3) for s in (5.0, 50.0)}
-rows = []
-for dtype in ("float64", "float32"):
-    img = image.astype(dtype)
-    out = filtering._empty(img.shape, img.dtype)
-    times = {(s, p): [] for s in kernels for p in ("column", "row")}
-    for _ in range(15):
-        for s, kern in kernels.items():
+def thumbnails(trees: dict) -> dict:
+    """Per tree: per-call times at thumbnail size, where fixed per-call
+    costs weigh most.  Median wall time of 300 calls of separable_filter_2d
+    on float64 and float32 images of 64x70, 113x120 and 158x155 (rows x
+    columns), k=5, sigma 2 and 8 and the trees interleaved, and of 3000
+    calls of gaussian_kernel(sigma, 5) at sigmas drawn from U[1, 8].  Each
+    shape and dtype also records its minor page faults per call, counted
+    around each tree's calls: whether glibc hands the freed buffers back between
+    calls changes from process to process, and a call that faults them in
+    again is much slower."""
+    synth = next(iter(trees.values())).synth
+    rows = {side: [] for side in trees}
+    kernels = {side: {s: t.approx.gaussian_kernel(s, 5) for s in (2.0, 8.0)}
+               for side, t in trees.items()}
+    for h, w in ((64, 70), (113, 120), (158, 155)):
+        for dtype in ("float64", "float32"):
+            img = synth.make_image("one-over-f", w, h, seed=42).astype(dtype)
+            times = {side: {2.0: [], 8.0: []} for side in trees}
+            faults = dict.fromkeys(trees, 0)
+            for rep in range(300):
+                for side, t in interleaved(trees, rep):
+                    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                    for s, kern in kernels[side].items():
+                        t0 = time.perf_counter_ns()
+                        t.filtering.separable_filter_2d(img, kern)
+                        times[side][s].append(time.perf_counter_ns() - t0)
+                    faults[side] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+            for side, tt in times.items():
+                rows[side] += [
+                    {"call": "separable_filter_2d", "size": [h, w], "dtype": dtype,
+                     "k": 5, "sigma": s, "us": statistics.median(t) / 1e3,
+                     "faults_per_call": faults[side] / (300 * len(tt))}
+                    for s, t in tt.items()
+                ]
+    sigmas = np.random.default_rng(0).uniform(1.0, 8.0, 3000).tolist()
+    times = {side: [] for side in trees}
+    for rep, s in enumerate(sigmas):
+        for side, t in interleaved(trees, rep):
             t0 = time.perf_counter_ns()
-            filtering._column_pass(img, kern, out)
-            t1 = time.perf_counter_ns()
-            filtering._row_pass(out, kern, out)
-            t2 = time.perf_counter_ns()
-            times[s, "column"].append(t1 - t0)
-            times[s, "row"].append(t2 - t1)
-    for (s, p), t in times.items():
-        rows.append({
-            "size": 1024, "dtype": dtype, "sigma": s, "pass": f"_{p}_pass",
-            "ms": statistics.median(t) / 1e6,
-        })
-print(json.dumps(rows))
-"""
-
-# Run like RATIO_SCRIPT: per-call times at thumbnail size, where fixed
-# per-call costs weigh most.  Median wall time of 300 calls of
-# separable_filter_2d on float64 and float32 images of 64x70, 113x120 and
-# 158x155 (rows x columns), k=5, sigma 2 and 8 interleaved, and of 3000
-# calls of gaussian_kernel(sigma, 5) at sigmas drawn from U[1, 8].  Each
-# shape and dtype also records its minor page faults per call: whether
-# glibc hands the freed buffers back between calls changes from process to
-# process, and a call that faults them in again is much slower.
-THUMB_SCRIPT = r"""
-import json, resource, statistics, sys, time
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-from sliceblur import approx
-from sliceblur.filtering import separable_filter_2d
-from sliceblur.synth import make_image
-
-rows = []
-kernels = {s: approx.gaussian_kernel(s, 5) for s in (2.0, 8.0)}
-for h, w in ((64, 70), (113, 120), (158, 155)):
-    for dtype in ("float64", "float32"):
-        img = make_image("one-over-f", w, h, seed=42).astype(dtype)
-        times = {s: [] for s in kernels}
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(300):
-            for s, kern in kernels.items():
-                t0 = time.perf_counter_ns()
-                separable_filter_2d(img, kern)
-                times[s].append(time.perf_counter_ns() - t0)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        for s, t in times.items():
-            rows.append({
-                "call": "separable_filter_2d", "size": [h, w], "dtype": dtype,
-                "k": 5, "sigma": s, "us": statistics.median(t) / 1e3,
-                "faults_per_call": faults / (300 * len(kernels)),
-            })
-sigmas = np.random.default_rng(0).uniform(1.0, 8.0, 3000).tolist()
-t = []
-for s in sigmas:
-    t0 = time.perf_counter_ns()
-    approx.gaussian_kernel(s, 5)
-    t.append(time.perf_counter_ns() - t0)
-rows.append({"call": "gaussian_kernel", "k": 5, "sigma": "U[1, 8]",
-             "us": statistics.median(t) / 1e3})
-print(json.dumps(rows))
-"""
+            t.approx.gaussian_kernel(s, 5)
+            times[side].append(time.perf_counter_ns() - t0)
+    for side, t in times.items():
+        rows[side].append({"call": "gaussian_kernel", "k": 5, "sigma": "U[1, 8]",
+                           "us": statistics.median(t) / 1e3})
+    return rows
 
 
 def end_to_end() -> dict:
@@ -214,21 +243,11 @@ def run_one(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
     return json.loads(machine.removeprefix("machine ")), result
 
 
-def in_process(script: str, checkout: Path):
-    """The JSON that ``script`` prints, run on the checkout's ``src/``."""
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(checkout / "src")],
-        capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout)
-
-
-def in_process_all(checkout: Path) -> dict:
-    return {
-        "sigma_ratio": in_process(RATIO_SCRIPT, checkout),
-        "passes": in_process(PASS_SCRIPT, checkout),
-        "thumbnails": in_process(THUMB_SCRIPT, checkout),
-    }
+def in_process_all(trees: dict) -> dict:
+    """Per tree: the in-process timings, keyed as in ``BENCH_*.json``."""
+    timed = {"sigma_ratio": sigma_ratio(trees), "passes": passes(trees),
+             "thumbnails": thumbnails(trees)}
+    return {side: {key: rows[side] for key, rows in timed.items()} for side in trees}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -311,14 +330,18 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "machine": machine,
         "runs": runs,
-        **in_process_all(checkout),
     }
+    trees = {"change": load(checkout, "sliceblur_change")}
+    if base is not None:
+        trees["base"] = load(base, "sliceblur_base")
+    timed = in_process_all(trees)
+    record.update(timed["change"])
     if base is not None:
         record["base"] = {
             "checkout": base.name,
             "pairs": pairs,
             "paired": {w: compare(pairs, w) for w in dict.fromkeys(p["workload"] for p in pairs)},
-            **in_process_all(base),
+            **timed["base"],
         }
         for workload, summary in record["base"]["paired"].items():
             for name, m in summary.items():
