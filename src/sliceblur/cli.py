@@ -47,8 +47,9 @@ def cmd_filter(args) -> int:
     kernel = approx.gaussian_kernel(args.sigma, args.k, fitted)
     # 16-bit files too: the float32 filter keeps them within a level
     image, maxval = pgm.read_pgm(args.input, pixels=np.float32)
-    out = separable_filter_2d(image, kernel)
-    pgm.write_pgm(args.output, out, maxval)
+    # the array is this request's own, so it holds the output too
+    separable_filter_2d(image, kernel, _in_place=True)
+    pgm.write_pgm(args.output, image, maxval)
     return 0
 
 

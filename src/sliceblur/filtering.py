@@ -299,7 +299,11 @@ def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray, image=None):
 
 def _column_pass(image: np.ndarray, kernel: SliceKernel, out: np.ndarray):
     """Slice-filter every column of the 2D ``image``, centred by
-    ``_centre``, into ``out``; the centre is not added back."""
+    ``_centre``, into ``out``; the centre is not added back.
+
+    ``out`` may be ``image`` itself: every read of ``image``, the running
+    sum's blocks and the ramps' ``image[0]`` and ``image[-1]``, comes before
+    the first write to ``out``, and the slice terms read only the buffer."""
     h, w = image.shape
     pad = kernel.max_radius
     c = _centre(image.dtype)
@@ -420,18 +424,26 @@ def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
     return out
 
 
-def separable_filter_2d(image, kernel: SliceKernel) -> np.ndarray:
+def separable_filter_2d(image, kernel: SliceKernel, *, _in_place=False) -> np.ndarray:
     """Filter a 2D image: slice-filter every column, then every row.
 
     The column pass writes into the output, and its (h + 2P + 1) x w
     running-sum buffer is freed before the row pass filters the output's
     rows in place, so a call peaks at about twice the image.
+
+    ``_in_place`` is private to ``sliceblur filter``: the output is then
+    written into ``image``, which must be a writeable C-contiguous float32
+    or float64 array, and a call holds no array of the image's size besides
+    it and the running sum.  A refusal then counts the non-finite values
+    of the column-filtered image, not of the input; the PGM samples that
+    ``sliceblur filter`` reads are finite.
     """
     image = as_float(image)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("need a non-empty 2D image")
     _check_kernel(kernel)
-    out = _empty(image.shape, image.dtype)
+    # _column_pass reads all of image before it writes to out
+    out = image if _in_place else _empty(image.shape, image.dtype)
     _column_pass(image, kernel, out)
     _row_pass(out, kernel, out, image)
     return out

@@ -43,7 +43,8 @@ def read_pgm(path, *, pixels=None) -> tuple[np.ndarray, int]:
 
     ``pixels`` is the image's float type; by default float32 for maxval up
     to 255 and float64 above.  Width, height and maxval must be plain ASCII
-    digits.
+    digits.  The image is a new writeable C-contiguous array that owns its
+    data, so ``sliceblur filter`` writes its output into it.
     """
     with open(path, "rb") as fh:
         data = fh.read()

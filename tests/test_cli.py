@@ -4,6 +4,7 @@ import csv
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -449,6 +450,30 @@ class TestFilterCommand:
             got, want = read_pgm(dst)[0], read_pgm(ref)[0]
             assert np.rint(np.abs(got - want) * maxval).max() <= 1
 
+    # (height, width): one pixel, one row, one column, both column paths
+    # (rows of at most filtering._NARROW = 256 samples and wider), and a
+    # height of three row blocks on each path (655 float32 rows of 100
+    # samples, 218 of 300, per block); at sigma 400 the largest radius passes
+    # every height
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 257), (300, 3),
+                                       (40, 64), (1400, 100), (600, 300)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_in_place_output_is_library_output(self, tmp_path, shape, maxval):
+        # the filter writes into the image that read_pgm returned, and must
+        # write what separable_filter_2d returns for that image
+        src, dst, ref = (tmp_path / f"{n}.pgm" for n in ("s", "o", "r"))
+        write_pgm(src, np.random.default_rng(shape).random(shape), maxval)
+        image = read_pgm(src, pixels=np.float32)[0]
+        flags = image.flags
+        assert flags.writeable and flags.c_contiguous and flags.owndata
+        for sigma in ("0.3", "2", "5", "50", "400"):
+            for k in (3, 5):
+                assert main(["filter", str(src), str(dst), "--sigma", sigma, "--k", str(k)]) == 0
+                kernel = approx.gaussian_kernel(float(sigma), k)
+                write_pgm(ref, separable_filter_2d(image, kernel), maxval)
+                assert dst.read_bytes() == ref.read_bytes(), (sigma, k)
+
     @pytest.mark.parametrize(
         "sigma, message",
         [
@@ -469,6 +494,24 @@ class TestFilterCommand:
         assert rc == 2
         assert err.startswith("sliceblur: ") and err.count("\n") == 1
         assert message in err
+
+
+class TestFilterMemory:
+    """Peak traced allocation of one ``filter`` request at 1024^2, sigma 50."""
+
+    def test_filter_8bit(self, tmp_path):
+        src, dst = tmp_path / "s.pgm", tmp_path / "o.pgm"
+        write_pgm(src, make_image("one-over-f", 1024, 1024, seed=3))
+        tracemalloc.start()
+        try:
+            assert main(["filter", str(src), str(dst), "--sigma", "50"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the float32 image, which the filter overwrites, the column running
+        # sum of (h + 2P + 1) rows, and write_pgm's quantized copy; no
+        # separate output
+        assert peak < 2.6 * 1024 * 1024 * np.dtype(np.float32).itemsize
 
 
 class TestMain:

@@ -19,7 +19,13 @@ the text of the exception the call raised.  The grid:
 * ``separable_filter_2d``, ``filter_at`` at the corners, the centre and
   a repeated point, and ``slice_filter_1d`` on the first row;
 * plus the radii and weights of ``gaussian_kernel`` at k 3, 4 and 5 over
-  a sigma grid.
+  a sigma grid;
+* and ``sliceblur filter`` (``cli.main``) on seeded 8-bit and 16-bit PGM
+  files, written into a temporary directory, of 1x1, 1x9, 9x1, 7x257,
+  300x3, 40x64, 1400x100 and 600x300 pixels (rows x columns) at sigma
+  0.3, 2, 5, 50 and 400 and k 3 and 5, plus one call with a ``--params``
+  file; its hash is of the bytes of the file it wrote, or of its exit
+  code when that is not 0.
 
 Two checkouts filter alike, bit for bit, where their lines agree:
 
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +44,9 @@ import numpy as np
 WIDTHS = (1, 2, 3, 255, 256, 257, 1024)
 HEIGHTS = (1, 7, 40, 300)
 SIGMAS = (0.3, 0.8, 1.0, 2.0, 3.7, 5.0, 12.0, 50.0, 400.0)
+# the CLI grid: (rows, columns) of the input files, and --sigma values
+CLI_SHAPES = ((1, 1), (1, 9), (9, 1), (7, 257), (300, 3), (40, 64), (1400, 100), (600, 300))
+CLI_SIGMAS = ("0.3", "2", "5", "50", "400")
 
 
 def _hash(value) -> str:
@@ -54,6 +64,42 @@ def _call(f, *args) -> str:
         return _hash(f(*args))
     except ValueError as exc:  # a refusal is part of the output
         return _hash(exc)
+
+
+def _cli_file(main, argv, dst: Path) -> str:
+    """The hash of the file that ``main(argv)`` wrote to ``dst``, or of its
+    nonzero exit code."""
+    rc = main(argv)
+    if rc != 0:
+        return hashlib.sha256(f"exit {rc}".encode()).hexdigest()[:16]
+    return hashlib.sha256(dst.read_bytes()).hexdigest()[:16]
+
+
+def cli_digest(sliceblur) -> list[str]:
+    """The ``<case> <hash>`` lines of the ``sliceblur filter`` grid."""
+    approx, params = sliceblur.approx, sliceblur.params
+    main = sliceblur.cli.main
+    lines = []
+    rng = np.random.default_rng(21)
+    with tempfile.TemporaryDirectory() as tmp:
+        dst = Path(tmp) / "out.pgm"
+        for h, w in CLI_SHAPES:
+            for maxval, sample in ((255, np.uint8), (65535, ">u2")):
+                # the input bytes are written here, not by the checkout
+                src = Path(tmp) / f"{h}x{w}-{maxval}.pgm"
+                levels = rng.integers(0, maxval, (h, w), endpoint=True)
+                src.write_bytes(b"P5\n%d %d\n%d\n" % (w, h, maxval)
+                                + levels.astype(sample).tobytes())
+                for sigma in CLI_SIGMAS:
+                    for k in ("3", "5"):
+                        argv = ["filter", str(src), str(dst), "--sigma", sigma, "--k", k]
+                        lines.append(f"cli-{h}x{w}-{maxval}-s{sigma}-k{k} {_cli_file(main, argv, dst)}")
+        pfile = Path(tmp) / "k4.txt"
+        part, sigma0 = approx.table_defaults(4)
+        params.save_params(pfile, params.FilterParams(part, sigma0, "qf", 0.0))
+        argv = ["filter", str(src), str(dst), "--sigma", "5", "--params", str(pfile)]
+        lines.append(f"cli-{h}x{w}-{maxval}-s5-params-k4 {_cli_file(main, argv, dst)}")
+    return lines
 
 
 def digest(sliceblur) -> list[str]:
@@ -92,7 +138,7 @@ def digest(sliceblur) -> list[str]:
                         lines.append(f"2d-{case} {_call(f.separable_filter_2d, img, kern)}")
                         lines.append(f"at-{case} {_call(f.filter_at, img, kern, points)}")
                         lines.append(f"1d-{case} {_call(f.slice_filter_1d, img[0], kern)}")
-    return lines
+    return lines + cli_digest(sliceblur)
 
 
 def main(argv=None) -> int:
@@ -102,7 +148,9 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
     import sliceblur.approx
+    import sliceblur.cli
     import sliceblur.filtering
+    import sliceblur.params
 
     print("\n".join(digest(sliceblur)))
     return 0

@@ -40,7 +40,11 @@ alternates, so that a drift in machine load hits both alike):
   images of 64x70, 113x120 and 158x155, k=5, sigma 2 and 8, with the
   minor page faults per call of each shape and dtype, and
   ``gaussian_kernel(sigma, 5)``.  ``sliceblur filter`` filters 16-bit
-  files in float32, and ``read_pgm`` reads them as float64 by default.
+  files in float32, and ``read_pgm`` reads them as float64 by default;
+* the ``tracemalloc`` peak of one whole ``sliceblur filter`` request
+  (``cli.main``: read, kernel, filter, write) on a 1024² 8-bit file at
+  sigma 2 and 50, k=3, and on a 113x120 16-bit file at sigma 8, k=5,
+  under ``request_memory``.
 
 Everything, with the machine facts that run.py prints, goes to
 ``BENCH_<label>.json`` in the root of this repository.  Nothing under
@@ -59,7 +63,9 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +86,8 @@ def load(checkout: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    importlib.import_module(f"{name}.synth")
+    for module in ("synth", "pgm", "cli"):
+        importlib.import_module(f"{name}.{module}")
     return package
 
 
@@ -209,6 +216,34 @@ def thumbnails(trees: dict) -> dict:
     return rows
 
 
+def request_memory(trees: dict) -> dict:
+    """Per tree: the tracemalloc peak, in MB, of one ``sliceblur filter``
+    request (``cli.main``) on a 1024² 8-bit file at sigma 2 and 50, k=3,
+    and on a 113x120 16-bit file at sigma 8, k=5.  Each request is run once
+    untraced first, so that the peak leaves out one-time set-up."""
+    first = next(iter(trees.values()))
+    rows = {side: [] for side in trees}
+    cases = [((1024, 1024), 255, 3, s) for s in (2.0, 50.0)] + [((113, 120), 65535, 5, 8.0)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for (h, w), maxval, k, s in cases:
+            src, dst = Path(tmp) / f"{h}x{w}-{maxval}.pgm", Path(tmp) / "out.pgm"
+            image = first.synth.make_image("one-over-f", w, h, seed=42)
+            first.pgm.write_pgm(src, image, maxval)
+            argv = ["filter", str(src), str(dst), "--sigma", repr(s), "--k", str(k)]
+            for side, t in trees.items():
+                t.cli.main(argv)
+                tracemalloc.start()
+                try:
+                    if t.cli.main(argv) != 0:
+                        raise RuntimeError(f"{side}: sliceblur {' '.join(argv)} failed")
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                rows[side].append({"call": "sliceblur filter", "size": [h, w],
+                                   "maxval": maxval, "k": k, "sigma": s, "peak_mb": peak / 1e6})
+    return rows
+
+
 def end_to_end() -> dict:
     """Each end-to-end metric of ``BENCHMARK.json``: its better direction
     and bound."""
@@ -246,7 +281,7 @@ def run_one(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
 def in_process_all(trees: dict) -> dict:
     """Per tree: the in-process timings, keyed as in ``BENCH_*.json``."""
     timed = {"sigma_ratio": sigma_ratio(trees), "passes": passes(trees),
-             "thumbnails": thumbnails(trees)}
+             "thumbnails": thumbnails(trees), "request_memory": request_memory(trees)}
     return {side: {key: rows[side] for key, rows in timed.items()} for side in trees}
 
 
