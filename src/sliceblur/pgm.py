@@ -16,7 +16,7 @@ import re
 
 import numpy as np
 
-from .filtering import as_float
+from .filtering import _empty, as_float
 
 
 # One header field: skip whitespace and # comments, then take one run of
@@ -43,8 +43,9 @@ def read_pgm(path, *, pixels=None) -> tuple[np.ndarray, int]:
 
     ``pixels`` is the image's float type; by default float32 for maxval up
     to 255 and float64 above.  Width, height and maxval must be plain ASCII
-    digits.  The image is a new writeable C-contiguous array that owns its
-    data, so ``sliceblur filter`` writes its output into it.
+    digits.  The image is a new writeable C-contiguous array that starts on
+    a cache line (``filtering._empty``) and shares its memory with nothing
+    else, so ``sliceblur filter`` writes its output into it.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -74,7 +75,9 @@ def read_pgm(path, *, pixels=None) -> tuple[np.ndarray, int]:
     raw = np.frombuffer(data, dtype=dtype, count=count, offset=end + 1)
     if pixels is None:
         pixels = np.float32 if maxval <= 255 else np.float64
-    return np.divide(raw.reshape(height, width), maxval, dtype=pixels), maxval
+    image = _empty((height, width), pixels)
+    np.divide(raw.reshape(height, width), maxval, out=image, dtype=pixels)
+    return image, maxval
 
 
 def write_pgm(path, image, maxval: int = 255):
