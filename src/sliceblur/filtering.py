@@ -86,6 +86,11 @@ in the L2 cache:
   float64 the pass took 179 against 276 µs.  The column slice terms are
   then summed into the output a block of rows at a time (for narrow rows,
   in the scratch), and the buffer is freed before the row pass starts.
+  The pass reads every pixel it needs before it writes its first output
+  row, so the output may be the image itself: ``sliceblur filter`` has
+  ``separable_filter_2d`` write into the image it read, and a request
+  holds one image-sized array and the buffer, not two arrays and the
+  buffer.
 * The row pass (``_row_pass``) takes the rows a block at a time, writes
   the block's extended cumulative sum into one reused buffer and sums its
   slice terms into the output rows.  ``np.cumsum`` along a row is one

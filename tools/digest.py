@@ -94,6 +94,7 @@ def cli_digest(sliceblur) -> list[str]:
                     for k in ("3", "5"):
                         argv = ["filter", str(src), str(dst), "--sigma", sigma, "--k", k]
                         lines.append(f"cli-{h}x{w}-{maxval}-s{sigma}-k{k} {_cli_file(main, argv, dst)}")
+        # the grid's last file, filtered with a k=4 parameter file
         pfile = Path(tmp) / "k4.txt"
         part, sigma0 = approx.table_defaults(4)
         params.save_params(pfile, params.FilterParams(part, sigma0, "qf", 0.0))

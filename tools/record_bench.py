@@ -279,7 +279,8 @@ def run_one(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
 
 
 def in_process_all(trees: dict) -> dict:
-    """Per tree: the in-process timings, keyed as in ``BENCH_*.json``."""
+    """Per tree: the in-process timings and request peaks, keyed as in
+    ``BENCH_*.json``."""
     timed = {"sigma_ratio": sigma_ratio(trees), "passes": passes(trees),
              "thumbnails": thumbnails(trees), "request_memory": request_memory(trees)}
     return {side: {key: rows[side] for key, rows in timed.items()} for side in trees}
