@@ -45,6 +45,25 @@ class SampledKernel:
         return self.values.size - 1
 
 
+def _increasing_ints(values, lowest: int, what: str) -> np.ndarray:
+    """``values`` as a 1D int64 array, refused unless they are integers,
+    at least one, strictly increasing and >= ``lowest``; ``what`` names them.
+    A non-integral value is refused, not truncated."""
+    p = np.asarray(values)
+    if p.dtype != np.int64:
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage
+            q = p.astype(np.int64)
+        if not np.array_equal(q, p):
+            raise ValueError(f"{what} must be int64 integers, got {p.tolist()}")
+        p = q
+    if p.ndim != 1 or p.size == 0:
+        raise ValueError(f"need a non-empty 1D sequence of {what}")
+    r = p.tolist()  # a short list: faster than numpy here
+    if r[0] < lowest or any(b <= a for a, b in zip(r, r[1:])):
+        raise ValueError(f"{what} must be strictly increasing and >= {lowest}")
+    return p
+
+
 @dataclass(frozen=True)
 class Partition:
     """Breakpoints p_1 < .. < p_k in [1, r] with one constant per interval."""
@@ -53,15 +72,9 @@ class Partition:
     constants: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "breakpoints", np.asarray(self.breakpoints, dtype=np.int64)
-        )
+        p = _increasing_ints(self.breakpoints, 1, "breakpoints")
+        object.__setattr__(self, "breakpoints", p)
         object.__setattr__(self, "constants", np.asarray(self.constants, dtype=np.float64))
-        p = self.breakpoints
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("need at least one breakpoint")
-        if p[0] < 1 or np.any(np.diff(p) <= 0):
-            raise ValueError("breakpoints must be strictly increasing and >= 1")
         if self.constants.shape != p.shape:
             raise ValueError("constants and breakpoints must have equal length")
 
@@ -83,13 +96,8 @@ class SliceKernel:
     sigma: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "radii", np.asarray(self.radii, dtype=np.int64))
+        object.__setattr__(self, "radii", _increasing_ints(self.radii, 0, "slice radii"))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
-        if self.radii.ndim != 1 or self.radii.size == 0:
-            raise ValueError("need at least one slice")
-        r = self.radii.tolist()  # a short list: faster than numpy here
-        if r[0] < 0 or any(b <= a for a, b in zip(r, r[1:])):
-            raise ValueError("slice radii must be strictly increasing and >= 0")
         if self.weights.shape != self.radii.shape:
             raise ValueError("weights and radii must have equal length")
 
@@ -208,9 +216,7 @@ def optimal_constants(
     Normal equations of the quadratic form restricted to the interval basis:
     c = (B^T A B)^{-1} B^T A w, solved by :func:`_batch_best`.
     """
-    p = np.asarray(breakpoints, dtype=np.int64)
-    if p.ndim != 1 or p.size == 0 or p[0] < 1 or np.any(np.diff(p) <= 0):
-        raise ValueError("breakpoints must be strictly increasing and >= 1")
+    p = _increasing_ints(breakpoints, 1, "breakpoints")
     if p[-1] > target.radius:
         raise ValueError("breakpoints exceed the kernel support")
     _, c, _ = _batch_best(p[None, :], *_sum_tables(target.values, model))

@@ -95,7 +95,7 @@ in the L2 cache:
   the block's extended cumulative sum into one reused buffer and sums its
   slice terms into the output rows.  ``np.cumsum`` along a row is one
   chain of dependent additions, a store and a reload per sample, so
-  ``_row_blocks`` halves the chain: it views each row's sample pairs as
+  the pass halves the chain: it views each row's sample pairs as
   complex numbers, and one ``np.cumsum`` over them carries two interleaved
   lanes, lane[j] the sum of the samples of j's parity up to j.  The lanes
   go to the start of the running-sum buffer, and one flat add over the
@@ -164,10 +164,16 @@ def _centre(dtype) -> float:
     return 0.5 if dtype == np.float32 else 0.0
 
 
-def _check_kernel(kernel: SliceKernel):
+def _checked(a, kernel: SliceKernel, ndim: int) -> np.ndarray:
+    """``a`` as ``as_float`` gives it, refused unless it is a non-empty
+    ``ndim``-D (1 or 2) array and ``kernel`` has unit DC gain."""
+    a = as_float(a)
+    if a.ndim != ndim or a.size == 0:
+        raise ValueError(f"need a non-empty {'1D signal' if ndim == 1 else '2D image'}")
     # written so that a NaN gain fails it too
     if not abs(kernel.dc_gain - 1.0) <= _DC_TOL:
         raise ValueError("kernel must have unit DC gain; call normalized()")
+    return a
 
 
 def _empty(shape, dtype) -> np.ndarray:
@@ -188,21 +194,20 @@ def _block_rows(h: int, n: int, dtype) -> int:
 
 
 def _fill_ramps(e: np.ndarray, first, last, pad: int):
-    """Fill the clamp-extension ramps of ``e``, an extended cumulative sum
-    along axis 0 with ``n + 2 * pad + 1`` entries.
+    """Fill the clamp-extension ramps of ``e``, the 2D extended cumulative
+    sums down its columns, each with ``n + 2 * pad + 1`` entries.
 
-    Index ``pad + 1 + j`` holds I(j), so I(-1) = 0 sits at index ``pad``;
+    Row ``pad + 1 + j`` holds I(j), so I(-1) = 0 sits in row ``pad``;
     ``e[pad + 1 : pad + 1 + n]`` must already hold I(0) .. I(n-1), and
-    ``first`` and ``last`` are the signal's samples f[0] and f[n-1].
+    ``first`` and ``last`` are the rows of samples f[0] and f[n-1].
     """
-    n = e.shape[0] - 2 * pad - 1
-    along = (slice(None),) + (None,) * (e.ndim - 1)
     # left ramp (j + 1) * f[0] for j = -pad-1 .. -1
-    np.multiply(np.arange(-pad, 1, dtype=e.dtype)[along], first, out=e[: pad + 1])
-    # right ramp I(n-1) + (j - n + 1) * f[n-1] for j = n .. n+pad-1
-    right = e[pad + 1 + n :]
-    np.multiply(np.arange(1, pad + 1, dtype=e.dtype)[along], last, out=right)
-    right += e[pad + n]
+    np.multiply(np.arange(-pad, 1, dtype=e.dtype)[:, None], first, out=e[: pad + 1])
+    # right ramp I(n-1) + (j - n + 1) * f[n-1] for j = n .. n+pad-1, in the
+    # last pad rows, after I(n-1)
+    right = e[len(e) - pad :]
+    np.multiply(np.arange(1, pad + 1, dtype=e.dtype)[:, None], last, out=right)
+    right += e[-pad - 1]
 
 
 def _sum_slices(window, kernel: SliceKernel, out: np.ndarray, term: np.ndarray):
@@ -234,68 +239,60 @@ def _check_sums(image: np.ndarray, ends, what: str, rows=None):
         raise ValueError(f"cannot filter: a {what} sum overflows {image.dtype}")
 
 
-def _row_blocks(a: np.ndarray, pad: int, image=None):
-    """Yield ``(rows, e, term)`` for consecutive blocks of rows of the 2D
-    ``a``, whose rows must be contiguous: the slice of rows, their
-    cumulative sum along axis 1, clamp-extended by ``pad`` and checked, and
-    scratch of the block's shape.  ``e`` and ``term`` are one buffer each,
-    overwritten for every block.  A refusal counts the non-finite pixels of
-    ``image``, the caller's input (default ``a``).
+def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray, image: np.ndarray):
+    """Slice-filter every row of the 2D ``a``, centred by ``_centre``, into
+    ``out``, which may be ``a`` itself, and add the centre back.  ``a``'s
+    rows must be contiguous.  A refusal counts the non-finite pixels of
+    ``image``, the caller's input; a slice term that overflows is refused.
 
-    The cumulative sum is built from two interleaved lanes, lane[j] the sum
-    of the samples of j's parity up to j, so I(j) = lane[j] + lane[j-1].
-    One ``np.cumsum`` over the rows viewed as complex numbers carries both
-    lanes, which halves its sequential chain.  A block in which one of
-    these additions overflows is summed again by a plain ``np.cumsum``."""
+    Each block of rows gets its cumulative sum, clamp-extended by P and
+    checked, in one reused buffer, from two interleaved lanes, lane[j] the
+    sum of the samples of j's parity up to j, so I(j) = lane[j] +
+    lane[j-1].  One ``np.cumsum`` over the rows viewed as complex numbers
+    carries both lanes, which halves its sequential chain.  A block in
+    which one of these additions overflows is summed again by a plain
+    ``np.cumsum``."""
     h, n = a.shape
+    pad = kernel.max_radius
+    c = _centre(a.dtype)
     step = _block_rows(h, n, a.dtype)
     buf = _empty((step, n + 2 * pad + 1), a.dtype)
     term = _empty((step, n), a.dtype)
     pair = np.dtype(f"c{2 * a.itemsize}")  # two lanes in one value
     even = n - n % 2  # the samples that pair up
-    for r0 in range(0, h, step):
-        block = a[r0 : r0 + step]
-        nb = len(block)
-        e, t = buf[:nb], term[:nb]
-        # the lanes go to the first nb * n values of e, free until I is
-        # placed in its middle; I goes to t first
-        flat = e.reshape(-1)[: nb * n]
-        lanes = flat.reshape(nb, n)
-        try:
-            # numpy raises after any of these additions that overflows
-            with np.errstate(over="raise", invalid="ignore"):
-                np.cumsum(block[:, :even].view(pair), axis=1,
-                          out=lanes[:, :even].view(pair))
-                if n % 2 and n > 1:  # the last sample has no pair
-                    np.add(lanes[:, -3], block[:, -1], out=lanes[:, -1])
-                np.add(flat[1:], flat[:-1], out=t.reshape(-1)[1:])
-        except FloatingPointError:
-            # sum the block in one chain instead, whose I(n-1) is finite
-            # unless some prefix sum is not
-            with np.errstate(invalid="ignore", over="ignore"):
-                np.cumsum(block, axis=1, out=t)
-        # each row start took the previous row's lane; at n = 1 this alone
-        # sets I
-        t[:, 0] = block[:, 0]
-        np.copyto(e[:, pad + 1 : pad + 1 + n], t)
-        with np.errstate(invalid="ignore", over="ignore"):
-            _fill_ramps(e.T, block[:, 0], block[:, -1], pad)
-        _check_sums(a if image is None else image, e[:, :: n + 2 * pad], "row", block)
-        yield slice(r0, r0 + nb), e, t
-
-
-def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray, image=None):
-    """Slice-filter every row of the 2D ``a``, centred by ``_centre``, into
-    ``out``, which may be ``a`` itself, and add the centre back; ``image``
-    is the caller's input, as in ``_row_blocks``.  A slice term that
-    overflows is refused."""
-    n = a.shape[1]
-    c = _centre(a.dtype)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for rows, e, term in _row_blocks(a, kernel.max_radius, image):
-                o = out[rows]
-                _sum_slices(lambda i: e[:, i : i + n], kernel, o, term)
+            for r0 in range(0, h, step):
+                block = a[r0 : r0 + step]
+                e, t = buf[: len(block)], term[: len(block)]
+                # the lanes go to the first t.size values of e, free until I
+                # is placed in its middle; I goes to t first
+                flat = e.reshape(-1)[: t.size]
+                lanes = flat.reshape(t.shape)
+                try:
+                    # numpy raises after any of these additions that overflows
+                    with np.errstate(over="raise", invalid="ignore"):
+                        np.cumsum(block[:, :even].view(pair), axis=1,
+                                  out=lanes[:, :even].view(pair))
+                        if n % 2 and n > 1:  # the last sample has no pair
+                            np.add(lanes[:, -3], block[:, -1], out=lanes[:, -1])
+                        np.add(flat[1:], flat[:-1], out=t.reshape(-1)[1:])
+                except FloatingPointError:
+                    # sum the block in one chain instead, whose I(n-1) is
+                    # finite unless some prefix sum is not
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        np.cumsum(block, axis=1, out=t)
+                # each row start took the previous row's lane; at n = 1 this
+                # alone sets I
+                t[:, 0] = block[:, 0]
+                np.copyto(e[:, pad + 1 : pad + 1 + n], t)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    _fill_ramps(e.T, block[:, 0], block[:, -1], pad)
+                _check_sums(image, e[:, :: n + 2 * pad], "row", block)
+                # the block was read for the last time above, so out may be
+                # a, and t is scratch from here on
+                o = out[r0 : r0 + step]
+                _sum_slices(lambda i: e[:, i : i + n], kernel, o, t)
                 if c:  # while the block is in the cache
                     o += c
     except FloatingPointError:
@@ -418,13 +415,9 @@ def _column_pass_at(image: np.ndarray, kernel: SliceKernel, ys) -> np.ndarray:
 
 def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
     """Filter a 1D signal with a unit-gain slice kernel."""
-    signal = as_float(signal)
-    if signal.ndim != 1 or signal.size < 1:
-        raise ValueError("need a non-empty 1D signal")
-    _check_kernel(kernel)
-    # filtered in place in a contiguous centred copy, as _row_blocks needs
-    out = _empty(signal.shape, signal.dtype)
-    np.subtract(signal, _centre(signal.dtype), out=out)
+    signal = _checked(signal, kernel, 1)
+    # filtered in place in a contiguous centred copy, as _row_pass needs
+    out = np.subtract(signal, _centre(signal.dtype), out=_empty(signal.shape, signal.dtype))
     _row_pass(out[None, :], kernel, out[None, :], signal)
     return out
 
@@ -436,6 +429,13 @@ def separable_filter_2d(image, kernel: SliceKernel, *, _in_place=False) -> np.nd
     running-sum buffer is freed before the row pass filters the output's
     rows in place, so a call peaks at about twice the image.
 
+    It refuses non-finite pixels, and a column sum, a row sum of the
+    column-filtered image or a slice term that overflows.  An image row
+    whose own sum overflows is not refused when the column pass averages
+    it down, and the result can then be wrong: a row of huge finite
+    pixels wipes out the precision of the column sums below it (README
+    "Precision").  :func:`filter_at` refuses such an image.
+
     ``_in_place`` is private to ``sliceblur filter``: the output is then
     written into ``image``, which must be a writeable C-contiguous float32
     or float64 array, and a call holds no array of the image's size besides
@@ -443,10 +443,7 @@ def separable_filter_2d(image, kernel: SliceKernel, *, _in_place=False) -> np.nd
     of the column-filtered image, not of the input; the PGM samples that
     ``sliceblur filter`` reads are finite.
     """
-    image = as_float(image)
-    if image.ndim != 2 or image.size == 0:
-        raise ValueError("need a non-empty 2D image")
-    _check_kernel(kernel)
+    image = _checked(image, kernel, 2)
     # _column_pass reads all of image before it writes to out
     out = image if _in_place else _empty(image.shape, image.dtype)
     _column_pass(image, kernel, out)
@@ -461,19 +458,21 @@ def filter_at(image, kernel: SliceKernel, points) -> np.ndarray:
     running sum, and the row pass on those rows.  Values are identical to
     the corresponding pixels of :func:`separable_filter_2d`.  The call
     reads every pixel once, and its working memory is the probed rows and
-    the column slice terms open at one time, not an image.  Like
-    :func:`separable_filter_2d`, it refuses non-finite pixels, overflowing
-    column sums and row slice terms, and any image row whose sum
-    overflows.  A point must lie on the pixel grid: (1.9, 2.7) is refused,
-    not rounded.
+    the column slice terms open at one time, not an image.  It refuses
+    non-finite pixels, overflowing column sums and slice terms, the
+    overflowing row sums of the probed rows, and, unlike
+    :func:`separable_filter_2d`, any image row whose own sum overflows, so
+    it refuses some images that :func:`separable_filter_2d` filters.
+    ``points`` are (x, y) pairs, and a point must lie on the pixel grid:
+    (1.9, 2.7) is refused, not rounded.
     """
-    image = as_float(image)
-    if image.ndim != 2 or image.size == 0:
-        raise ValueError("need a non-empty 2D image")
-    _check_kernel(kernel)
+    image = _checked(image, kernel, 2)
     h, w = image.shape
+    points = np.asarray(points)
+    if points.size and (points.ndim != 2 or points.shape[1] != 2):
+        raise ValueError(f"points must be (x, y) pairs, got an array of shape {points.shape}")
     pts = []
-    for x, y in np.asarray(points).tolist():  # Python scalars compare faster
+    for x, y in points.reshape(-1, 2).tolist():  # Python scalars compare faster
         if not (0 <= x < w and 0 <= y < h):
             raise ValueError(f"point ({x}, {y}) outside {w}x{h} image")
         if x != int(x) or y != int(y):

@@ -473,3 +473,38 @@ class TestTypeInvariants:
             SliceKernel((-1,), (0.1,))
         with pytest.raises(ValueError):
             SliceKernel((1, 2), (0.1,))
+
+    # radii and breakpoints were cast to int64, which truncated 1.5 to 1
+    # without a word; like filter_at's off-grid points, they are refused
+    @pytest.mark.parametrize("radii", [(1.5,), (0, 2.5), (np.nan,), (np.inf,)])
+    def test_slice_kernel_refuses_non_integral_radii(self, radii):
+        with pytest.raises(ValueError, match="^slice radii must be int64 integers"):
+            SliceKernel(radii, np.ones(len(radii)))
+
+    def test_partition_refuses_non_integral_breakpoints(self):
+        with pytest.raises(ValueError, match="^breakpoints must be int64 integers"):
+            Partition((1.5, 3), (1.0, 0.5))
+
+    def test_optimal_constants_refuses_non_integral_breakpoints(self):
+        target = sample_gaussian(3.0, 10)
+        with pytest.raises(ValueError, match="^breakpoints must be int64 integers"):
+            optimal_constants(target, [1.5, 3.9], build_autocorr(9))
+
+    def test_gaussian_kernel_refuses_non_integral_breakpoints(self):
+        with pytest.raises(ValueError, match="^breakpoints must be int64 integers"):
+            gaussian_kernel(4.0, params=(Partition([10.7, 20.2], [0.5, 0.1]), 10.0))
+
+    def test_integral_values_of_any_type_are_kept(self):
+        want = SliceKernel(np.array([0, 3, 7]), (0.5, 0.3, 0.2))
+        assert want.radii.dtype == np.int64
+        for radii in ((0.0, 3.0, 7.0), np.array([0, 3, 7], np.uint8), [0, 3, np.int32(7)]):
+            got = SliceKernel(radii, (0.5, 0.3, 0.2))
+            assert got.radii.dtype == np.int64 and got.radii.tolist() == [0, 3, 7]
+        assert Partition((2.0, 5.0), (1.0, 0.5)).breakpoints.dtype == np.int64
+        # an int64 array is kept as it is, not copied
+        assert want.radii is SliceKernel(want.radii, want.weights).radii
+
+    @pytest.mark.parametrize("empty", [(), 3, [[1, 2]]])
+    def test_slice_kernel_refuses_no_or_nested_radii(self, empty):
+        with pytest.raises(ValueError, match="^need a non-empty 1D sequence of slice radii"):
+            SliceKernel(empty, np.ones(np.shape(empty)))

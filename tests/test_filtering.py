@@ -307,6 +307,20 @@ class TestFilterAt:
         with pytest.raises(ValueError, match=r"point \(1\.9, 2\.7\)"):
             filter_at(img, table_kernel(3, 1.0), [(1.9, 2.7)])
 
+    @pytest.mark.parametrize("points", [
+        (3, 4), [(3, 4, 5)], [[(3, 4)]], 3, [[3], [4]], np.zeros((2, 2, 2)),
+    ], ids=["one-pair-unwrapped", "triple", "nested", "scalar", "singles", "3d"])
+    def test_refuses_points_that_are_not_pairs(self, points):
+        # unpacking them raised TypeError or "too many values to unpack"
+        img = np.zeros((16, 16))
+        with pytest.raises(ValueError, match=r"^points must be \(x, y\) pairs"):
+            filter_at(img, table_kernel(3, 1.0), points)
+
+    @pytest.mark.parametrize("points", [[], (), np.zeros((0, 2))])
+    def test_no_points(self, points):
+        out = filter_at(np.ones((16, 16)), table_kernel(3, 1.0), points)
+        assert out.shape == (0,) and out.dtype == np.float64
+
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_empty_image(self, shape):
         with pytest.raises(ValueError, match="non-empty"):
@@ -460,12 +474,15 @@ def test_non_contiguous_input_same_bits(dtype):
 def test_row_running_sums_are_exact_on_integers(n, dtype):
     # I(j) = lane[j] + lane[j - 1] sums integers exactly, so the extended
     # row sums equal np.cumsum at every width, odd and even, and at every
-    # row start of a block of several rows
-    pad = 3
+    # row start of a block of several rows (the 5 rows are one block).  The
+    # radius-0 slice gives I(x) - I(x - 1), which is the sample only if
+    # every I(j) is exact; the weight-0 radius-3 slice keeps a pad of 3.
     a = np.random.default_rng(n).integers(0, 256, (5, n)).astype(dtype)
-    for rows, e, _ in filtering._row_blocks(a, pad):
-        assert rows == slice(0, 5) and e.dtype == dtype
-        np.testing.assert_array_equal(e[:, pad + 1 : pad + 1 + n], np.cumsum(a, axis=1))
+    assert filtering._block_rows(*a.shape, dtype) >= 5
+    out = np.empty_like(a)
+    filtering._row_pass(a, SliceKernel((0, 3), (1.0, 0.0)), out, a)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out - filtering._centre(dtype), a)
 
 
 def _column_pass_both_ways(monkeypatch, img, kern):

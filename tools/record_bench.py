@@ -156,7 +156,7 @@ def passes(trees: dict) -> dict:
                     t0 = time.perf_counter_ns()
                     t.filtering._column_pass(img, kern, out)
                     t1 = time.perf_counter_ns()
-                    t.filtering._row_pass(out, kern, out)
+                    t.filtering._row_pass(out, kern, out, img)
                     t2 = time.perf_counter_ns()
                     times[side][s, "column"].append(t1 - t0)
                     times[side][s, "row"].append(t2 - t1)
