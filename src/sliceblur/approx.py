@@ -285,20 +285,17 @@ def search_partitions(
 
     sat, q_cum, w_a_w = _sum_tables(target.values, model)
 
-    grid = range(1, r + 1, 4)
-    if k <= 3 or len(grid) < k:
-        combos = np.array(
-            list(itertools.combinations(range(1, r + 1), k)), dtype=np.int64
-        )
-        bp, c, _ = _batch_best(combos, sat, q_cum, w_a_w)
-        return Partition(bp, c)
-
-    coarse = np.array(list(itertools.combinations(grid, k)), dtype=np.int64)
-    bp, c, e2 = _batch_best(coarse, sat, q_cum, w_a_w)
-    offsets = np.array(
-        list(itertools.product(range(-4, 5), repeat=k)), dtype=np.int64
+    # refine a stride-4 grid only where it has at least k points
+    refine = k > 3 and r > 4 * (k - 1)
+    combos = itertools.combinations(range(1, r + 1, 4 if refine else 1), k)
+    bp, c, e2 = _batch_best(
+        np.array(list(combos), dtype=np.int64), sat, q_cum, w_a_w
     )
-    while True:
+    if refine:
+        offsets = np.array(
+            list(itertools.product(range(-4, 5), repeat=k)), dtype=np.int64
+        )
+    while refine:
         cand = bp[None, :] + offsets
         ok = (
             (cand[:, 0] >= 1)
@@ -330,7 +327,9 @@ def scale_to_sigma(base: SliceKernel, sigma: float) -> SliceKernel:
     p_i / (2 p_i' + 1); radii colliding after the floor are merged by
     summing weights; finally all weights are rescaled to exact unit DC gain
     so constant inputs are preserved.  Once every radius floors to 0 the
-    merge leaves one radius-0 slice of weight 1: the identity filter.
+    merge leaves one radius-0 slice of weight 1: the identity filter.  A
+    base kernel with a radius-0 slice is refused, since p_i = 0 would scale
+    that slice's weight to 0.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -338,6 +337,8 @@ def scale_to_sigma(base: SliceKernel, sigma: float) -> SliceKernel:
         raise ValueError("base kernel does not carry its native sigma")
     if not (math.isfinite(base.sigma) and base.sigma > 0):
         raise ValueError(f"base kernel's native sigma {base.sigma} is not positive and finite")
+    if base.radii[0] == 0:
+        raise ValueError("base kernel has a radius-0 slice, which scaling would give weight 0")
     ratio = sigma / base.sigma
     if not ratio * base.max_radius < 2.0**63:
         raise ValueError(f"sigma {sigma} is too large: its slice radii overflow int64")

@@ -15,7 +15,6 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,19 +23,10 @@ from . import approx, oracle, params, pgm, synth
 from .filtering import separable_filter_2d
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    method: str
-    k: int
-    sigma: float
-    image_id: str
-    wall_time_ns: int
-    psnr_db: float
-    adds_per_px: float
-    muls_per_px: float
-
-
-CSV_HEADER = [f.name for f in fields(BenchRecord)]
+CSV_HEADER = [
+    "method", "k", "sigma", "image_id",
+    "wall_time_ns", "psnr_db", "adds_per_px", "muls_per_px",
+]
 
 
 def cmd_filter(args) -> int:
@@ -101,27 +91,20 @@ def cmd_bench(args) -> int:
             ("slices-l2", {k: (f.partition, f.sigma0) for k, f in fits.items()})
         )
 
-    records = []
+    rows = []
     for image_id, image in images:
         # Time every oracle arm of an image before any of its fast arms: the
         # oracle's sigma-sized padded buffers change how much freed memory
         # the allocator returns to the OS, so fast arms timed right after
         # each sigma's oracle would fault in a sigma-dependent number of pages.
-        exact = []
-        for sigma in args.sigma:
-            t_exact, reference = _median_time_ns(
-                lambda: oracle.exact_gaussian_2d(image, sigma), args.reps
-            )
+        exact = [
+            _median_time_ns(lambda: oracle.exact_gaussian_2d(image, sigma), args.reps)
+            for sigma in args.sigma
+        ]
+        for sigma, (t_exact, reference) in zip(args.sigma, exact):
             taps = oracle.gaussian_taps(sigma).size
-            exact.append((
-                BenchRecord(
-                    "exact", 0, sigma, image_id, t_exact, oracle.PSNR_INF,
-                    2.0 * (taps - 1), 2.0 * taps,
-                ),
-                reference,
-            ))
-        for sigma, (exact_record, reference) in zip(args.sigma, exact):
-            records.append(exact_record)
+            rows.append(("exact", 0, sigma, image_id, t_exact, oracle.PSNR_INF,
+                         2.0 * (taps - 1), 2.0 * taps))
             for method, arm_params in arms:
                 for k in args.k:
                     kernel = approx.gaussian_kernel(sigma, k, arm_params[k])
@@ -129,20 +112,15 @@ def cmd_bench(args) -> int:
                         lambda: separable_filter_2d(image, kernel), args.reps
                     )
                     ops = oracle.count_ops(image, kernel)
-                    records.append(
-                        BenchRecord(
-                            method, k, sigma, image_id, t,
-                            oracle.psnr(filtered, reference),
-                            ops.adds_per_px, ops.muls_per_px,
-                        )
-                    )
+                    rows.append((method, k, sigma, image_id, t,
+                                 oracle.psnr(filtered, reference),
+                                 ops.adds_per_px, ops.muls_per_px))
                     del filtered  # time every fast arm with the same memory held
 
     with open(args.csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for record in records:
-            writer.writerow(astuple(record))
+        writer.writerows(rows)
     return 0
 
 
@@ -153,10 +131,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_psnr(args) -> int:
-    a, _ = pgm.read_pgm(args.image_a)
-    b, _ = pgm.read_pgm(args.image_b)
-    value = oracle.psnr(a, b)
-    print(repr(value))
+    # float64 at both depths: the PSNR of the files' own levels
+    a, _ = pgm.read_pgm(args.image_a, pixels=np.float64)
+    b, _ = pgm.read_pgm(args.image_b, pixels=np.float64)
+    print(repr(oracle.psnr(a, b)))
     return 0
 
 
@@ -185,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="benchmark a PGM corpus, write CSV")
     p.add_argument("corpus_dir")
     p.add_argument("--sigma", type=float, action="append", required=True)
-    p.add_argument("--k", type=int, action="append", required=True)
+    p.add_argument("--k", type=int, action="append", required=True, choices=(3, 4, 5))
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--csv", required=True)
     p.add_argument("--l2", action="store_true", help="add l2-optimized rows")

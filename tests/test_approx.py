@@ -398,6 +398,14 @@ class TestScaleToSigma:
         with pytest.raises(ValueError, match=match):
             scale_to_sigma(base, 2.0)
 
+    def test_refuses_radius_0_slice(self):
+        # p_i / (2 p_i' + 1) would scale the radius-0 slice's weight to 0,
+        # at the kernel's own sigma too
+        base = SliceKernel((0, 3), (0.5, 0.1), sigma=2.0).normalized()
+        for sigma in (2.0, 4.0):
+            with pytest.raises(ValueError, match="radius-0 slice"):
+                scale_to_sigma(base, sigma)
+
     def test_sigma_overflowing_int64_radii(self):
         with pytest.raises(ValueError, match=r"sigma 1e\+300 is too large"):
             scale_to_sigma(self._base(), 1e300)

@@ -674,6 +674,35 @@ class TestBenchCommand:
         assert rc == 2
         assert sigma in capsys.readouterr().err
 
+    def test_k_outside_builtin_exits_before_timing(self, tmp_path, capsys,
+                                                   monkeypatch):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        main(["synth", "constant", str(corpus / "img.pgm"),
+              "--width", "8", "--height", "8"])
+        timed, median_time_ns = [], sliceblur.cli._median_time_ns
+        monkeypatch.setattr(sliceblur.cli, "_median_time_ns",
+                            lambda fn, reps: timed.append(fn) or median_time_ns(fn, reps))
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(corpus), "--sigma", "2", "--k", "3", "--k", "6",
+                  "--reps", "3", "--csv", str(out)])
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
+        assert timed == []
+        assert not out.exists()
+
+    def test_refused_run_writes_no_csv(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        main(["synth", "constant", str(corpus / "img.pgm"),
+              "--width", "8", "--height", "8"])
+        out = tmp_path / "o.csv"
+        rc = main(["bench", str(corpus), "--sigma", "2", "--sigma", "nan", "--k", "3",
+                   "--reps", "3", "--csv", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "empty"
         corpus.mkdir()
@@ -707,6 +736,20 @@ class TestPsnrCommand:
               "--seed", "2"])
         assert main(["psnr", str(a), str(b)]) == 0
         printed = float(capsys.readouterr().out)
-        ia, _ = read_pgm(a)
-        ib, _ = read_pgm(b)
+        ia, _ = read_pgm(a, pixels=np.float64)
+        ib, _ = read_pgm(b, pixels=np.float64)
         assert printed == oracle.psnr(ia, ib)
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_value_is_of_float64_levels(self, tmp_path, capsys, maxval):
+        # at both depths the printed PSNR is that of level / maxval in float64
+        rng = np.random.default_rng(maxval)
+        levels = rng.integers(0, maxval, (2, 19, 23), endpoint=True)
+        files = [tmp_path / "a.pgm", tmp_path / "b.pgm"]
+        for f, lv in zip(files, levels):
+            f.write_bytes(b"P5\n23 19\n%d\n" % maxval
+                          + lv.astype(">u2" if maxval > 255 else np.uint8).tobytes())
+        assert main(["psnr", *map(str, files)]) == 0
+        printed = float(capsys.readouterr().out)
+        d = (levels[0] - levels[1]) / maxval
+        assert printed == -10.0 * math.log10(np.mean(d * d))

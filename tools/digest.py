@@ -25,7 +25,12 @@ the text of the exception the call raised.  The grid:
   300x3, 40x64, 1400x100 and 600x300 pixels (rows x columns) at sigma
   0.3, 2, 5, 50 and 400 and k 3 and 5, plus one call with a ``--params``
   file; its hash is of the bytes of the file it wrote, or of its exit
-  code when that is not 0.
+  code when that is not 0;
+* ``sliceblur optimize`` files, k 1 to 5 under ``qf`` and ``l2`` at 16,
+  20 and 100 samples, hashed the same way;
+* and one ``sliceblur bench --l2`` CSV of a seeded 8-bit 70x50 and 16-bit
+  33x41 corpus at sigma 1, 4.5 and 20 and k 3 and 5: one line per row,
+  of every column but ``wall_time_ns``.
 
 Two checkouts filter alike, bit for bit, where their lines agree:
 
@@ -47,6 +52,8 @@ SIGMAS = (0.3, 0.8, 1.0, 2.0, 3.7, 5.0, 12.0, 50.0, 400.0)
 # the CLI grid: (rows, columns) of the input files, and --sigma values
 CLI_SHAPES = ((1, 1), (1, 9), (9, 1), (7, 257), (300, 3), (40, 64), (1400, 100), (600, 300))
 CLI_SIGMAS = ("0.3", "2", "5", "50", "400")
+# the optimize grid: --samples values, each run at k 1-5 under qf and l2
+OPTIMIZE_SAMPLES = ("16", "20", "100")
 
 
 def _hash(value) -> str:
@@ -66,13 +73,23 @@ def _call(f, *args) -> str:
         return _hash(exc)
 
 
+def _short(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def _cli_file(main, argv, dst: Path) -> str:
     """The hash of the file that ``main(argv)`` wrote to ``dst``, or of its
     nonzero exit code."""
     rc = main(argv)
-    if rc != 0:
-        return hashlib.sha256(f"exit {rc}".encode()).hexdigest()[:16]
-    return hashlib.sha256(dst.read_bytes()).hexdigest()[:16]
+    return _short(dst.read_bytes() if rc == 0 else f"exit {rc}".encode())
+
+
+def _write_pgm(path: Path, levels: np.ndarray, maxval: int) -> None:
+    """Write ``levels`` as a P5 file: the input bytes are written here, not
+    by the checkout."""
+    h, w = levels.shape
+    sample = np.uint8 if maxval <= 255 else ">u2"
+    path.write_bytes(b"P5\n%d %d\n%d\n" % (w, h, maxval) + levels.astype(sample).tobytes())
 
 
 def cli_digest(sliceblur) -> list[str]:
@@ -84,12 +101,9 @@ def cli_digest(sliceblur) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         dst = Path(tmp) / "out.pgm"
         for h, w in CLI_SHAPES:
-            for maxval, sample in ((255, np.uint8), (65535, ">u2")):
-                # the input bytes are written here, not by the checkout
+            for maxval in (255, 65535):
                 src = Path(tmp) / f"{h}x{w}-{maxval}.pgm"
-                levels = rng.integers(0, maxval, (h, w), endpoint=True)
-                src.write_bytes(b"P5\n%d %d\n%d\n" % (w, h, maxval)
-                                + levels.astype(sample).tobytes())
+                _write_pgm(src, rng.integers(0, maxval, (h, w), endpoint=True), maxval)
                 for sigma in CLI_SIGMAS:
                     for k in ("3", "5"):
                         argv = ["filter", str(src), str(dst), "--sigma", sigma, "--k", k]
@@ -100,6 +114,38 @@ def cli_digest(sliceblur) -> list[str]:
         params.save_params(pfile, params.FilterParams(part, sigma0, "qf", 0.0))
         argv = ["filter", str(src), str(dst), "--sigma", "5", "--params", str(pfile)]
         lines.append(f"cli-{h}x{w}-{maxval}-s5-params-k4 {_cli_file(main, argv, dst)}")
+    return lines
+
+
+def tool_digest(sliceblur) -> list[str]:
+    """The ``<case> <hash>`` lines of ``sliceblur optimize`` and ``bench``."""
+    main = sliceblur.cli.main
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        dst = Path(tmp) / "params.txt"
+        for n in OPTIMIZE_SAMPLES:
+            for model in ("qf", "l2"):
+                for k in "12345":
+                    argv = ["optimize", "--k", k, "--model", model, "--params", str(dst),
+                            "--samples", n]
+                    lines.append(f"optimize-n{n}-{model}-k{k} {_cli_file(main, argv, dst)}")
+        corpus = Path(tmp) / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(22)
+        for (h, w), maxval in (((50, 70), 255), ((41, 33), 65535)):
+            src = corpus / f"{h}x{w}-{maxval}.pgm"
+            _write_pgm(src, rng.integers(0, maxval, (h, w), endpoint=True), maxval)
+        csv_path = Path(tmp) / "bench.csv"
+        argv = ["bench", str(corpus), "--sigma", "1", "--sigma", "4.5", "--sigma", "20",
+                "--k", "3", "--k", "5", "--reps", "3", "--l2", "--csv", str(csv_path)]
+        rc = main(argv)
+        rows = csv_path.read_text().splitlines() if rc == 0 else []
+        lines.append(f"bench-exit {_short(str(rc).encode())}")
+        for row in rows:
+            # every column but wall_time_ns, the fifth
+            method, k, sigma, image_id, _, *rest = row.split(",")
+            case = f"bench-{image_id}-{method}-k{k}-s{sigma}"
+            lines.append(f"{case} {_short(','.join(rest).encode())}")
     return lines
 
 
@@ -139,7 +185,7 @@ def digest(sliceblur) -> list[str]:
                         lines.append(f"2d-{case} {_call(f.separable_filter_2d, img, kern)}")
                         lines.append(f"at-{case} {_call(f.filter_at, img, kern, points)}")
                         lines.append(f"1d-{case} {_call(f.slice_filter_1d, img[0], kern)}")
-    return lines + cli_digest(sliceblur)
+    return lines + cli_digest(sliceblur) + tool_digest(sliceblur)
 
 
 def main(argv=None) -> int:
