@@ -11,12 +11,12 @@ Boundaries use replicate (clamp) padding.  I is extended to j in
 [-P-1, n+P-1], P the largest slice radius: the plain cumulative sum in the
 middle, and the analytic ramps I(j) = (j + 1) * f[0] for j < 0 and
 I(j) = I(n-1) + (j - n + 1) * f[n-1] for j >= n.  P may be n or more, since
-the ramps extend I as far as any slice reaches.  The full passes build all
-of it in a buffer whose ramps ``_fill_ramps`` fills, so every slice term is
-the difference of two contiguous views of it; the buffers start on a cache
-line (``_empty``).  ``filter_at``'s column pass keeps no such buffer and
-computes the few I(j) outside the image that its terms read from the same
-formulas.
+the ramps extend I as far as any slice reaches.  The full passes build it
+in buffers whose ramps ``_left_ramp`` and ``_right_ramp`` fill, so every
+slice term is the difference of two contiguous views of one; the buffers
+start on a cache line (``_empty``).  ``filter_at``'s column pass keeps no
+such buffer and computes the few I(j) outside the image that its terms
+read from the same formulas.
 
 A float32 input is filtered in float32; any other input is converted to
 float64 first (``as_float``).  Each pass is bound by the bytes it moves,
@@ -66,13 +66,27 @@ result in place.  Both passes stream through blocks of about ``_BLOCK``
 bytes, so that a block's running sum, its slice terms and its output stay
 in the L2 cache:
 
-* The column pass (``_column_pass``) builds I down every column in an
-  (h + 2P + 1) x w extended buffer, in one loop over blocks of image rows.
-  Each block is centred, its first row gets the previous block's last sum
-  added, and its rows are summed while the block is in the cache.  A row
-  of more than ``_NARROW`` (256) samples is centred into the buffer, and
-  each row gets the previous row added: one contiguous row add each, where
-  ``np.cumsum(axis=0)`` walks every column with a whole row's stride and
+* The column pass (``_column_pass``) streams I down every column through
+  one buffer, in one loop over blocks of image rows.  Output row r reads
+  the 2P + 2 rows I(r - P - 1) .. I(r + P), so each block is summed into
+  the buffer, and output rows are written a block at a time once their
+  I(r + P) is summed (a one-block image's all at once, after the ramps).
+  The buffer holds at most 3(2P + 1) rows, or 2(2P + 1) plus a block when
+  a block is more, and never more than the h + 2P + 1 rows of the whole
+  extended sum.  When the next block does not fit, the 2P + 1 rows that
+  the next output row reads move to its front, in one copy that does not
+  overlap itself.  The left ramp is filled first and the right one after
+  the last block.  At 1024², k=3, float32, the buffer is 178 rows at sigma
+  12 and 717 at sigma 50 (P = 119), where the extended sum has 1263, and
+  it moves 239 rows twice.  (With 2(2P + 1) rows plus a block it moved 239
+  rows three times, and the column pass was slower.  A ring buffer whose
+  slice views are cut at its wrap was 10-20% slower at sigma 2-12, from
+  its many short blocks.)  Each block is centred, its first row gets the
+  previous block's last sum added, and its rows are summed while the block
+  is in the cache.  A row of more than ``_NARROW`` (256) samples is
+  centred into the buffer, and each row gets the previous row added: one
+  contiguous row add each, where ``np.cumsum(axis=0)`` walks every column
+  with a whole row's stride and
   was 1.2x (float64) to 1.4x (float32) slower over a 1024² column pass.
   On narrower rows numpy's cost per call, about 1 µs a row add, is most
   of the work, so the block is centred into scratch instead, and one
@@ -84,13 +98,13 @@ in the L2 cache:
   bit for bit.  Over whole column passes at k=5 the crossover was
   320-384 samples per row in float64 and 256-320 in float32; at 128²
   float64 the pass took 179 against 276 µs.  The column slice terms are
-  then summed into the output a block of rows at a time (for narrow rows,
-  in the scratch), and the buffer is freed before the row pass starts.
-  The pass reads every pixel it needs before it writes its first output
-  row, so the output may be the image itself: ``sliceblur filter`` has
-  ``separable_filter_2d`` write into the image it read, and a request
-  holds one image-sized array and the buffer, not two arrays and the
-  buffer.
+  summed into the output at most a block of rows at a time (for narrow
+  rows, in the scratch), and the buffer is freed before the row pass
+  starts.  Output row r is written only after image row r + P is read,
+  and the ramps' rows f[0] and f[h-1] are copied first, so the output may
+  be the image itself: ``sliceblur filter`` has ``separable_filter_2d``
+  write into the image it read, and a request holds one image-sized array
+  and the buffer, not two arrays and the buffer.
 * The row pass (``_row_pass``) takes the rows a block at a time, writes
   the block's extended cumulative sum into one reused buffer and sums its
   slice terms into the output rows.  ``np.cumsum`` along a row is one
@@ -193,18 +207,17 @@ def _block_rows(h: int, n: int, dtype) -> int:
     return max(1, min(h, _BLOCK // (n * np.dtype(dtype).itemsize)))
 
 
-def _fill_ramps(e: np.ndarray, first, last, pad: int):
-    """Fill the clamp-extension ramps of ``e``, the 2D extended cumulative
-    sums down its columns, each with ``n + 2 * pad + 1`` entries.
-
-    Row ``pad + 1 + j`` holds I(j), so I(-1) = 0 sits in row ``pad``;
-    ``e[pad + 1 : pad + 1 + n]`` must already hold I(0) .. I(n-1), and
-    ``first`` and ``last`` are the rows of samples f[0] and f[n-1].
-    """
-    # left ramp (j + 1) * f[0] for j = -pad-1 .. -1
+def _left_ramp(e: np.ndarray, first, pad: int):
+    """Write the left clamp-extension ramp I(j) = (j + 1) * f[0], j = -pad-1
+    .. -1, into the first ``pad + 1`` rows of ``e``, the extended cumulative
+    sums down its columns; ``first`` is the row of samples f[0]."""
     np.multiply(np.arange(-pad, 1, dtype=e.dtype)[:, None], first, out=e[: pad + 1])
-    # right ramp I(n-1) + (j - n + 1) * f[n-1] for j = n .. n+pad-1, in the
-    # last pad rows, after I(n-1)
+
+
+def _right_ramp(e: np.ndarray, last, pad: int):
+    """Write the right clamp-extension ramp I(j) = I(n-1) + (j - n + 1) *
+    f[n-1], j = n .. n+pad-1, into the last ``pad`` rows of ``e``, whose
+    row before them holds I(n-1); ``last`` is the row of samples f[n-1]."""
     right = e[len(e) - pad :]
     np.multiply(np.arange(1, pad + 1, dtype=e.dtype)[:, None], last, out=right)
     right += e[-pad - 1]
@@ -287,7 +300,8 @@ def _row_pass(a: np.ndarray, kernel: SliceKernel, out: np.ndarray, image: np.nda
                 t[:, 0] = block[:, 0]
                 np.copyto(e[:, pad + 1 : pad + 1 + n], t)
                 with np.errstate(invalid="ignore", over="ignore"):
-                    _fill_ramps(e.T, block[:, 0], block[:, -1], pad)
+                    _left_ramp(e.T, block[:, 0], pad)
+                    _right_ramp(e.T, block[:, -1], pad)
                 _check_sums(image, e[:, :: n + 2 * pad], "row", block)
                 # the block was read for the last time above, so out may be
                 # a, and t is scratch from here on
@@ -303,50 +317,86 @@ def _column_pass(image: np.ndarray, kernel: SliceKernel, out: np.ndarray):
     """Slice-filter every column of the 2D ``image``, centred by
     ``_centre``, into ``out``; the centre is not added back.
 
-    ``out`` may be ``image`` itself: every read of ``image``, the running
-    sum's blocks and the ramps' ``image[0]`` and ``image[-1]``, comes before
-    the first write to ``out``, and the slice terms read only the buffer."""
+    The column running sum streams through one buffer of at most 2(2P + 1)
+    + max(``step``, 2P + 1) rows: each block of image rows is summed into
+    it, output rows are written a block at a time once their last term's
+    I(r + P) exists, and a full buffer moves the 2P + 1 rows that later
+    output rows read to its front.
+
+    ``out`` may be ``image`` itself: output row r is written only after
+    image row r + P is summed, and ``image[0]`` and ``image[-1]``, which
+    the ramps read, are copied before the first write."""
     h, w = image.shape
     pad = kernel.max_radius
+    # output row r reads I(r - P - 1) .. I(r + P): span rows, and the one
+    # that completes it
+    span = 2 * pad + 1
     c = _centre(image.dtype)
-    ext = _empty((h + 2 * pad + 1, w), image.dtype)
-    mid = ext[pad + 1 : pad + 1 + h]
     step = _block_rows(h, w, image.dtype)
-    # narrow blocks are centred into scratch, which later holds the slice
-    # terms; wide ones get their term buffer only after the ramps, whose
-    # temporaries it would add to the peak (50-150 KB at 1024²)
-    scratch = _empty((step, w), image.dtype) if w <= _NARROW else None
+    # Besides the span rows that a shift keeps, the buffer takes span +
+    # max(span, step) rows.  So a shift comes only once more than 2 * span
+    # rows are filled, and never moves rows onto themselves; and when span
+    # is many blocks, it comes once for about 2 * span rows summed, half as
+    # often as in a buffer of 2 * span + step rows.
+    buf = _empty((min(h + span, 2 * span + max(step, span)), w), image.dtype)
+    # slice-term scratch, into which narrow blocks are centred first
+    term = _empty((step, w), image.dtype)
     pair = np.dtype(f"c{2 * image.itemsize}")
     even = w - w % 2
+    # buf[i] holds I(base + i - P - 1); I is filled up to I(end - P - 2),
+    # and output rows before done are written
+    base, end, done = 0, pad + 1, 0
+
+    def emit(stop):
+        """Write output rows done .. stop - 1, a block at a time: row r
+        reads I(r - P - 1) .. I(r + P), buf's rows r - base .. r - base +
+        span."""
+        nonlocal done
+        for o0 in range(done, stop, step):
+            o = out[o0 : min(o0 + step, stop)]
+            i0, n = o0 - base, len(o)
+            _sum_slices(lambda i: buf[i0 + i : i0 + i + n], kernel, o, term[:n])
+        done = stop
+
+    # a term that overflows, or reads a sum that did, leaves a non-finite
+    # value, which the row pass refuses as a column sum that overflows
     with np.errstate(invalid="ignore", over="ignore"):
-        for r0 in range(0, h, step):
-            rows = mid[r0 : r0 + step]
-            src = rows if scratch is None else scratch[: len(rows)]
-            np.subtract(image[r0 : r0 + step], c, out=src)
-            if r0:
-                src[0] += mid[r0 - 1]
-            if scratch is None:
-                # each row gets the previous one added while the block is in
-                # the cache
-                prev = rows[0]
-                for cur in rows[1:]:
-                    cur += prev
-                    prev = cur
+        last = image[-1] - c
+        _left_ramp(buf, image[0] - c, pad)
+        # every block of image rows, then the P rows of the right ramp
+        for r0 in (*range(0, h, step), h):
+            nb = min(step, h - r0) if r0 < h else pad
+            if end - base + nb > len(buf):
+                emit(end - span)
+                np.copyto(buf[:span], buf[done - base : end - base])
+                base = done
+            if r0 == h:
+                _right_ramp(buf[: end - base + nb], last, pad)
             else:
-                # from src into mid: in place, numpy would copy an odd
-                # width's operand
-                if even:
-                    np.cumsum(src[:, :even].view(pair), axis=0, out=rows[:, :even].view(pair))
-                if w % 2:
-                    np.cumsum(src[:, -1], out=rows[:, -1])
-        _fill_ramps(ext, image[0] - c, image[-1] - c, pad)
-        term = _empty((step, w), image.dtype) if scratch is None else scratch
-        # a term that overflows, or reads a sum that did, leaves a non-finite
-        # value, which the row pass refuses as a column sum that overflows
-        for r0 in range(0, h, step):
-            o = out[r0 : r0 + step]
-            nb = len(o)
-            _sum_slices(lambda i: ext[r0 + i : r0 + i + nb], kernel, o, term[:nb])
+                rows = buf[end - base : end - base + nb]
+                src = rows if w > _NARROW else term[:nb]
+                np.subtract(image[r0 : r0 + nb], c, out=src)
+                if r0:
+                    src[0] += buf[end - base - 1]
+                if w > _NARROW:
+                    # each row gets the previous one added while the block
+                    # is in the cache
+                    prev = rows[0]
+                    for cur in rows[1:]:
+                        cur += prev
+                        prev = cur
+                else:
+                    # from scratch into buf: in place, numpy would copy an
+                    # odd width's operand
+                    if even:
+                        np.cumsum(src[:, :even].view(pair), axis=0, out=rows[:, :even].view(pair))
+                    if w % 2:
+                        np.cumsum(src[:, -1], out=rows[:, -1])
+            end += nb
+            # once a block of output rows is ready, and at the end: so a
+            # one-block image sums its slice terms in one call
+            if end - span - done >= step or r0 == h:
+                emit(end - span)
 
 
 def _column_pass_at(image: np.ndarray, kernel: SliceKernel, ys) -> np.ndarray:
@@ -425,9 +475,11 @@ def slice_filter_1d(signal, kernel: SliceKernel) -> np.ndarray:
 def separable_filter_2d(image, kernel: SliceKernel, *, _in_place=False) -> np.ndarray:
     """Filter a 2D image: slice-filter every column, then every row.
 
-    The column pass writes into the output, and its (h + 2P + 1) x w
-    running-sum buffer is freed before the row pass filters the output's
-    rows in place, so a call peaks at about twice the image.
+    The column pass writes into the output, and its running-sum buffer,
+    at most 3(2P + 1) x w (see ``_column_pass``), is freed before the row
+    pass filters the output's rows in place.  So a call holds the output
+    and a fraction of the image besides it: at 1024², k=3, 1.09-1.26 times
+    the image at sigma 2-12 and 1.75-1.78 times at sigma 50.
 
     It refuses non-finite pixels, and a column sum, a row sum of the
     column-filtered image or a slice term that overflows.  An image row

@@ -4,19 +4,22 @@ Pixels map linearly to [0, 1] floats on read: by default float32 for
 8-bit files and float64 for 16-bit files.  ``sliceblur filter`` asks for
 float32 at both depths, and its float32 filter keeps 16-bit output within
 about a level of the float64 result (see the ``filtering`` module).  Writing
-quantizes with round-to-nearest and rejects NaN and infinite pixels.  Both
-8-bit and 16-bit (big-endian) maxvals are supported.  Headers are written
-in a fixed form so equal images produce byte-identical files.
+quantizes with round-to-nearest, a block of rows at a time, straight into
+the file's samples, and rejects NaN and infinite pixels and a maxval that
+is not an integer.  Both 8-bit and 16-bit (big-endian) maxvals are
+supported.  Headers are written in a fixed form so equal images produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 
 import numpy as np
 
-from .filtering import _empty, as_float
+from .filtering import _block_rows, _empty, as_float
 
 
 # One header field: skip whitespace and # comments, then take one run of
@@ -86,29 +89,41 @@ def write_pgm(path, image, maxval: int = 255):
     A float32 image is quantized in float32, anything else in float64.  At
     an exact half-level tie x * maxval may round the other way in float32,
     so a float32 image writes within 1 level of its float64 upcast.
+    ``maxval`` must be an integer from 1 to 65535.
+
+    The image is quantized a block of rows at a time (``filtering._BLOCK``
+    bytes of it), through one block of scratch, into the file's sample
+    array, so that a call holds the samples and one block besides the
+    image.  The file is opened only once every block has passed.
     """
     image = as_float(image)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("need a non-empty 2D image")
-    if not (0 < maxval < 65536):
+    if not (isinstance(maxval, numbers.Integral) and 0 < maxval < 65536):
         raise ValueError(f"bad maxval {maxval}")
-    # Round first, then bound: rint(x * maxval) is rint(clip(x, 0, 1) * maxval)
-    # for x in [0, 1], and clipping the rounded value to [0, maxval] gives the
-    # same integer for x outside it, so in-range images need no clip pass.  A
-    # huge finite pixel overflows the multiply to an infinity of its own sign,
-    # which the clip also maps to maxval or 0.
-    with np.errstate(over="ignore"):
-        q = np.multiply(image, maxval, out=np.empty(image.shape, image.dtype))
-    np.rint(q, out=q)
-    lo, hi = float(q.min()), float(q.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        bad = image.size - np.count_nonzero(np.isfinite(image))
-        if bad:
-            raise ValueError(f"cannot quantize {bad} non-finite pixel(s) (NaN or inf)")
-    if lo < 0.0 or hi > maxval:
-        np.clip(q, 0.0, maxval, out=q)
-    dtype = _sample_type(maxval)
     h, w = image.shape
+    samples = np.empty((h, w), _sample_type(maxval))
+    step = _block_rows(h, w, image.dtype)
+    scratch = np.empty((step, w), image.dtype)
+    # Round first, then bound: rint(x * maxval) is rint(clip(x, 0, 1) *
+    # maxval) for x in [0, 1], and clipping the rounded value to [0, maxval]
+    # gives the same integer for x outside it, so in-range blocks need no
+    # clip pass.  A huge finite pixel overflows the multiply to an infinity
+    # of its own sign, which the clip also maps to maxval or 0.
+    for r0 in range(0, h, step):
+        block = image[r0 : r0 + step]
+        q = scratch[: len(block)]
+        with np.errstate(over="ignore"):
+            np.multiply(block, maxval, out=q)
+        np.rint(q, out=q)
+        lo, hi = float(q.min()), float(q.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            bad = image.size - np.count_nonzero(np.isfinite(image))
+            if bad:
+                raise ValueError(f"cannot quantize {bad} non-finite pixel(s) (NaN or inf)")
+        if lo < 0.0 or hi > maxval:
+            np.clip(q, 0.0, maxval, out=q)
+        np.copyto(samples[r0 : r0 + step], q, casting="unsafe")
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n%d\n" % (w, h, maxval))
-        fh.write(q.astype(dtype))
+        fh.write(samples)

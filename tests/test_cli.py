@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sliceblur
-from sliceblur import approx, oracle
+from sliceblur import approx, filtering, oracle
 from sliceblur.cli import CSV_HEADER, build_parser, main
 from sliceblur.filtering import separable_filter_2d
 from sliceblur.params import FilterParams, load_params, save_params
@@ -98,6 +98,55 @@ class TestPgm:
             with pytest.raises(ValueError, match=r"^cannot quantize 2 non-finite"):
                 write_pgm(path, img)
             assert not path.exists()
+
+    @pytest.mark.parametrize("maxval", [255.5, 65535.5, 255.0, "255"])
+    def test_write_rejects_maxval_that_is_not_an_integer(self, tmp_path, maxval):
+        # 255.5 would get a "255" header but 2-byte samples
+        path = tmp_path / "m.pgm"
+        with pytest.raises(ValueError, match="^bad maxval"):
+            write_pgm(path, [[0, 0.5, 1, 0.999]], maxval)
+        assert not path.exists()
+
+    # 1024 bytes per block: 1 row of 128 float64 or 2 of float32 pixels
+    @staticmethod
+    def _small_blocks(monkeypatch, shape):
+        monkeypatch.setattr(filtering, "_BLOCK", 1024)
+        assert filtering._block_rows(*shape, np.float32) == 2
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_write_in_blocks_same_bytes(self, tmp_path, monkeypatch, maxval):
+        rng = np.random.default_rng(maxval)
+        img = rng.uniform(-0.1, 1.1, (37, 128))
+        img[rng.random(img.shape) < 0.8] = rng.random()
+        for dtype in (np.float64, np.float32):
+            one, blocks = tmp_path / "one.pgm", tmp_path / "blocks.pgm"
+            assert filtering._block_rows(*img.shape, dtype) == 37
+            write_pgm(one, img.astype(dtype), maxval)
+            with monkeypatch.context() as m:
+                self._small_blocks(m, img.shape)
+                write_pgm(blocks, img.astype(dtype), maxval)
+            assert blocks.read_bytes() == one.read_bytes()
+
+    def test_write_refuses_nan_in_last_block_only(self, tmp_path, monkeypatch):
+        self._small_blocks(monkeypatch, (9, 128))
+        for dtype in (np.float64, np.float32):
+            img = np.full((9, 128), 0.5, dtype)
+            img[-1, -1] = np.nan
+            path = tmp_path / "n.pgm"
+            with pytest.raises(ValueError, match=r"^cannot quantize 1 non-finite"):
+                write_pgm(path, img)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_write_clips_one_block_only(self, tmp_path, monkeypatch, maxval):
+        self._small_blocks(monkeypatch, (9, 128))
+        img = np.random.default_rng(5).random((9, 128))
+        img[4, :3] = [1.7, -0.3, 1e308]
+        path = tmp_path / "c.pgm"
+        write_pgm(path, img, maxval)
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")
+        raw = np.frombuffer(path.read_bytes()[-img.size * dtype.itemsize :], dtype)
+        np.testing.assert_array_equal(raw.reshape(img.shape), np.rint(np.clip(img, 0, 1) * maxval))
 
     @pytest.mark.parametrize("maxval", [255, 65535])
     def test_write_float32_within_one_level_of_float64(self, tmp_path, maxval):
@@ -499,7 +548,8 @@ class TestFilterCommand:
 
 
 class TestFilterMemory:
-    """Peak traced allocation of one ``filter`` request at 1024^2, sigma 50."""
+    """Peak traced allocation of one ``filter`` request at 1024^2, sigma 50,
+    and of ``write_pgm`` at 1024^2."""
 
     def test_filter_8bit(self, tmp_path):
         src, dst = tmp_path / "s.pgm", tmp_path / "o.pgm"
@@ -510,10 +560,24 @@ class TestFilterMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the float32 image, which the filter overwrites, the column running
-        # sum of (h + 2P + 1) rows, and write_pgm's quantized copy; no
-        # separate output
-        assert peak < 2.6 * 1024 * 1024 * np.dtype(np.float32).itemsize
+        # the float32 image, which the filter overwrites, and the column
+        # running sum's buffer of 3(2P + 1) rows, 717 at P = 119, with a block
+        # of slice-term scratch; no separate output
+        assert peak < 2.0 * 1024 * 1024 * np.dtype(np.float32).itemsize
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_write_pgm(self, tmp_path, dtype, maxval):
+        img = make_image("one-over-f", 1024, 1024, seed=3).astype(dtype)
+        tracemalloc.start()
+        try:
+            write_pgm(tmp_path / "o.pgm", img, maxval)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file's samples and one block of scratch, not a copy of the image
+        samples = img.size * (1 if maxval == 255 else 2)
+        assert peak < samples + 2 * filtering._BLOCK
 
 
 class TestMain:

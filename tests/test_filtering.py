@@ -543,6 +543,34 @@ def test_narrow_rejects_overflowing_column_sum(dtype):
             entry(img, kern)
 
 
+@pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in-place"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("w", [filtering._NARROW, filtering._NARROW + 1])
+@pytest.mark.parametrize("h, sigma", [(120, 2.0), (6, 5.0)], ids=["shifts", "P>=h"])
+def test_column_buffer_shifts(monkeypatch, h, sigma, w, dtype, in_place):
+    # blocks of 2 (float64) or 4 (float32) rows, fewer than the 2P + 1 rows
+    # that each shift moves to the front of the column running sum's buffer:
+    # at h = 120, P = 4, the buffer shifts six (float64) or seven times; at
+    # h = 6, P = 11, the whole running sum fits in it
+    monkeypatch.setattr(filtering, "_BLOCK", 2 * 8 * w)
+    kern = table_kernel(3, sigma)
+    assert filtering._block_rows(h, w, dtype) < 2 * kern.max_radius + 1
+    assert (kern.max_radius >= h) == (h == 6)
+    img = np.random.default_rng(w).random((h, w)).astype(dtype)
+    out = separable_filter_2d(img.copy() if in_place else img, kern, _in_place=in_place)
+    assert out.dtype == dtype
+    every = [(x, y) for y in range(h) for x in range(w)]
+    assert filter_at(img, kern, every).tobytes() == out.tobytes()
+    dense = dense_separable_2d(img.astype(np.float64), kern.dense())
+    tol = 1e-10 if dtype == np.float64 else F32_TOL * (max(h, w) + kern.max_radius)
+    assert np.abs(out - dense).max() <= tol
+    # in the last block; in place, the count is of the column-filtered image
+    img[-1, 3] = np.nan
+    count = r"\d+" if in_place else "1"
+    with pytest.raises(ValueError, match=rf"^cannot filter {count} non-finite pixel\(s\)"):
+        separable_filter_2d(img, kern, _in_place=in_place)
+
+
 def _slice_kernels(st, max_radius):
     """Strategy: random unit-gain slice kernels with radii <= max_radius."""
     return st.tuples(
@@ -685,8 +713,9 @@ class TestMemory:
         kern = table_kernel(3, 50.0)
         for img in (image, image.astype(np.float32)):
             peak = self._peak(lambda: separable_filter_2d(img, kern))
-            # the output and the extended column running sum, (h + 2P + 1) rows
-            assert peak < 2.5 * img.nbytes
+            # the output, and the column running sum's buffer of 3(2P + 1)
+            # rows, 717 at P = 119, with a block of slice-term scratch
+            assert peak < 2.0 * img.nbytes
 
     def test_filter_at(self, image):
         kern = table_kernel(3, 50.0)

@@ -20,6 +20,11 @@ the text of the exception the call raised.  The grid:
   a repeated point, and ``slice_filter_1d`` on the first row;
 * plus the radii and weights of ``gaussian_kernel`` at k 3, 4 and 5 over
   a sigma grid;
+* a 1100x1024 float64 and float32 image at sigma 50, k 3 and 5, whose
+  column running sum moves 2P + 1 rows, more than a block of rows, to the
+  front of its buffer more than once: ``separable_filter_2d`` on the C and
+  reversed layouts and in place, and ``filter_at`` at the corners and the
+  centre;
 * and ``sliceblur filter`` (``cli.main``) on seeded 8-bit and 16-bit PGM
   files, written into a temporary directory, of 1x1, 1x9, 9x1, 7x257,
   300x3, 40x64, 1400x100 and 600x300 pixels (rows x columns) at sigma
@@ -49,6 +54,8 @@ import numpy as np
 WIDTHS = (1, 2, 3, 255, 256, 257, 1024)
 HEIGHTS = (1, 7, 40, 300)
 SIGMAS = (0.3, 0.8, 1.0, 2.0, 3.7, 5.0, 12.0, 50.0, 400.0)
+# an image whose column pass moves its buffer's rows (shift_digest)
+SHIFT_SHAPE = (1100, 1024)
 # the CLI grid: (rows, columns) of the input files, and --sigma values
 CLI_SHAPES = ((1, 1), (1, 9), (9, 1), (7, 257), (300, 3), (40, 64), (1400, 100), (600, 300))
 CLI_SIGMAS = ("0.3", "2", "5", "50", "400")
@@ -185,7 +192,30 @@ def digest(sliceblur) -> list[str]:
                         lines.append(f"2d-{case} {_call(f.separable_filter_2d, img, kern)}")
                         lines.append(f"at-{case} {_call(f.filter_at, img, kern, points)}")
                         lines.append(f"1d-{case} {_call(f.slice_filter_1d, img[0], kern)}")
-    return lines + cli_digest(sliceblur) + tool_digest(sliceblur)
+    return lines + shift_digest(sliceblur) + cli_digest(sliceblur) + tool_digest(sliceblur)
+
+
+def shift_digest(sliceblur) -> list[str]:
+    """The ``<case> <hash>`` lines of a 1100x1024 image at sigma 50: its
+    column running sum outgrows its buffer, which moves 2P + 1 rows, more
+    than a block's, to its front more than once."""
+    approx, f = sliceblur.approx, sliceblur.filtering
+    h, w = SHIFT_SHAPE
+    base = np.random.default_rng(23).random((h, w))
+    points = [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1), (w // 2, h // 2)]
+    lines = []
+    for k in (3, 5):
+        kern = approx.gaussian_kernel(50.0, k)
+        for dtype in ("float64", "float32"):
+            for name, image in (("C", base), ("rev", base[::-1, ::-1])):
+                img = image.astype(dtype)
+                case = f"{h}x{w}-{dtype}-{name}-s50k{k}"
+                lines.append(f"2d-{case} {_call(f.separable_filter_2d, img, kern)}")
+                lines.append(f"at-{case} {_call(f.filter_at, img, kern, points)}")
+            img = np.ascontiguousarray(base, dtype)
+            lines.append(f"2d-inplace-{h}x{w}-{dtype}-s50k{k} "
+                         f"{_call(lambda: f.separable_filter_2d(img, kern, _in_place=True))}")
+    return lines
 
 
 def main(argv=None) -> int:

@@ -43,8 +43,8 @@ alternates, so that a drift in machine load hits both alike):
   files in float32, and ``read_pgm`` reads them as float64 by default;
 * the ``tracemalloc`` peak of one whole ``sliceblur filter`` request
   (``cli.main``: read, kernel, filter, write) on a 1024² 8-bit file at
-  sigma 2 and 50, k=3, and on a 113x120 16-bit file at sigma 8, k=5,
-  under ``request_memory``.
+  sigma 2, 5, 12 and 50, k=3, and on a 113x120 16-bit file at sigma 8,
+  k=5, under ``request_memory``.
 
 Everything, with the machine facts that run.py prints, goes to
 ``BENCH_<label>.json`` in the root of this repository.  Nothing under
@@ -218,12 +218,13 @@ def thumbnails(trees: dict) -> dict:
 
 def request_memory(trees: dict) -> dict:
     """Per tree: the tracemalloc peak, in MB, of one ``sliceblur filter``
-    request (``cli.main``) on a 1024² 8-bit file at sigma 2 and 50, k=3,
-    and on a 113x120 16-bit file at sigma 8, k=5.  Each request is run once
-    untraced first, so that the peak leaves out one-time set-up."""
+    request (``cli.main``) on a 1024² 8-bit file at sigma 2, 5, 12 and 50,
+    k=3, and on a 113x120 16-bit file at sigma 8, k=5.  Each request is run
+    once untraced first, so that the peak leaves out one-time set-up."""
     first = next(iter(trees.values()))
     rows = {side: [] for side in trees}
-    cases = [((1024, 1024), 255, 3, s) for s in (2.0, 50.0)] + [((113, 120), 65535, 5, 8.0)]
+    cases = [((1024, 1024), 255, 3, s) for s in (2.0, 5.0, 12.0, 50.0)]
+    cases.append(((113, 120), 65535, 5, 8.0))
     with tempfile.TemporaryDirectory() as tmp:
         for (h, w), maxval, k, s in cases:
             src, dst = Path(tmp) / f"{h}x{w}-{maxval}.pgm", Path(tmp) / "out.pgm"
