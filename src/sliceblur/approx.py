@@ -51,9 +51,12 @@ def _increasing_ints(values, lowest: int, what: str) -> np.ndarray:
     A non-integral value is refused, not truncated."""
     p = np.asarray(values)
     if p.dtype != np.int64:
-        with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage
-            q = p.astype(np.int64)
-        if not np.array_equal(q, p):
+        try:
+            with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage
+                q = p.astype(np.int64)
+        except OverflowError:  # an object array of Python ints past int64
+            q = None
+        if q is None or not np.array_equal(q, p):
             raise ValueError(f"{what} must be int64 integers, got {p.tolist()}")
         p = q
     if p.ndim != 1 or p.size == 0:

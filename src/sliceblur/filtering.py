@@ -31,12 +31,11 @@ buffer or scratch, and the row pass adds c back to each block of its
 output while the block is in the cache.  float64 sums stay uncentred (c
 = 0) and so are unchanged, bit for bit.  The largest difference from the
 float64 result, in 16-bit levels, on 16-bit 1/f images (k=5, two images
-per size) was 0.35, 0.77 and 1.77 at n = 1024, 2048 and 4096 at sigma 1
-(3.3, 6.7 and 14.3 uncentred), and 0.10, 0.40 and 0.60 at sigma 8 (0.71,
-1.28 and 2.51).  On 8-bit images at sigma 2, k=3, it was 2.8e-6, 7.9e-6
-and 1.6e-5 (2.5e-5, 5.1e-5 and 1.1e-4 uncentred), under 0.005 of an
-8-bit step.  A float32 constant image filters to the constant only
-within 1/2 * |DC gain - 1| (at most 5e-7).
+per size) was 0.35, 0.77 and 1.77 at n = 1024, 2048 and 4096 at sigma 1,
+and 0.10, 0.40 and 0.60 at sigma 8.  On 8-bit images at sigma 2, k=3, it
+was 2.8e-6, 7.9e-6 and 1.6e-5, under 0.005 of an 8-bit step.  A float32
+constant image filters to the constant only within 1/2 * |DC gain - 1|
+(at most 5e-7).
 
 Every running sum that the row pass reads is checked before its slice
 terms are: the two end entries of its clamp extension, I(-P-1) and
@@ -78,22 +77,18 @@ in the L2 cache:
   overlap itself.  The left ramp is filled first and the right one after
   the last block.  At 1024², k=3, float32, the buffer is 178 rows at sigma
   12 and 717 at sigma 50 (P = 119), where the extended sum has 1263, and
-  it moves 239 rows twice.  (With 2(2P + 1) rows plus a block it moved 239
-  rows three times, and the column pass was slower.  A ring buffer whose
-  slice views are cut at its wrap was 10-20% slower at sigma 2-12, from
-  its many short blocks.)  Each block is centred, its first row gets the
+  it moves 239 rows twice.  Each block is centred, its first row gets the
   previous block's last sum added, and its rows are summed while the block
   is in the cache.  A row of more than ``_NARROW`` (256) samples is
   centred into the buffer, and each row gets the previous row added: one
   contiguous row add each, where ``np.cumsum(axis=0)`` walks every column
-  with a whole row's stride and
-  was 1.2x (float64) to 1.4x (float32) slower over a 1024² column pass.
-  On narrower rows numpy's cost per call, about 1 µs a row add, is most
-  of the work, so the block is centred into scratch instead, and one
-  ``np.cumsum(axis=0)`` writes its sums into the buffer (in place, numpy
-  would first copy an odd width's operand).  Pairs of columns are viewed
-  as complex numbers, so that one value carries two columns, each down
-  its own chain, and an odd width's last column is summed on its own.
+  with a whole row's stride.  On narrower rows numpy's cost per call,
+  about 1 µs a row add, is most of the work, so the block is centred into
+  scratch instead, and one ``np.cumsum(axis=0)`` writes its sums into the
+  buffer (in place, numpy would first copy an odd width's operand).
+  Pairs of columns are viewed as complex numbers, so that one value
+  carries two columns, each down its own chain, and an odd width's last
+  column is summed on its own.
   Both ways make the same additions in the same order, so the sums agree
   bit for bit.  Over whole column passes at k=5 the crossover was
   320-384 samples per row in float64 and 256-320 in float32; at 128²
@@ -496,7 +491,8 @@ def separable_filter_2d(image, kernel: SliceKernel, *, _in_place=False) -> np.nd
     ``sliceblur filter`` reads are finite.
     """
     image = _checked(image, kernel, 2)
-    # _column_pass reads all of image before it writes to out
+    # out may alias image: _column_pass writes output row r only after it
+    # has summed image row r + P, and copies the ramps' rows first
     out = image if _in_place else _empty(image.shape, image.dtype)
     _column_pass(image, kernel, out)
     _row_pass(out, kernel, out, image)

@@ -4,7 +4,10 @@ Plain ``key = value`` text, one key per line; list values are
 comma-separated.  Written by the optimizer, read by the filter CLI.
 
 Keys: k, sigma0, error_model (qf | l2), breakpoints, constants, weights, e2.
-The integers, k and the breakpoints, are plain ASCII digits.
+The integers, k and the breakpoints, are plain ASCII digits; the
+breakpoints strictly increase from 1 and fit in int64.  sigma0, the
+constants and e2 are finite, and the weights, if given, are those of the
+constants.  A bad value is refused with the file's name and the key.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import Partition, to_slices
+from .approx import Partition, _increasing_ints, to_slices
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,10 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _breakpoints(text: str) -> np.ndarray:
+    return _increasing_ints(_list(_count)(text), 1, "breakpoints")
+
+
 def _finite(text) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -99,14 +106,14 @@ def load_params(path) -> FilterParams:
     k = _value(fields, path, "k", _count)
     sigma0 = _value(fields, path, "sigma0", _positive)
     error_model = _value(fields, path, "error_model", _error_model)
-    breakpoints = _value(fields, path, "breakpoints", _list(_count))
+    breakpoints = _value(fields, path, "breakpoints", _breakpoints)
     constants = _value(fields, path, "constants", _list(_finite))
-    e2 = _value(fields, path, "e2", float)
+    e2 = _value(fields, path, "e2", _finite)
     if len(breakpoints) != k or len(constants) != k:
         raise ValueError(f"{path}: k does not match parameter lengths")
-    partition = Partition(np.array(breakpoints), np.array(constants))
+    partition = Partition(breakpoints, constants)
     if "weights" in fields:
-        stored = np.array(_value(fields, path, "weights", _list(float)))
-        if not np.allclose(stored, to_slices(partition).weights, atol=1e-9):
+        stored = _value(fields, path, "weights", _list(float))
+        if len(stored) != k or not np.allclose(stored, to_slices(partition).weights, atol=1e-9):
             raise ValueError(f"{path}: weights inconsistent with constants")
     return FilterParams(partition, sigma0, error_model, e2)

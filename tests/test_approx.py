@@ -59,6 +59,8 @@ class TestSampleGaussian:
 
 class TestBuildAutocorr:
     def test_invalid_r(self):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            identity_model(0)
         with pytest.raises(ValueError):
             build_autocorr(0)
 
@@ -197,6 +199,9 @@ class TestOptimalConstants:
         target = sample_gaussian(3.0, 10)
         with pytest.raises(ValueError, match="strictly increasing"):
             optimal_constants(target, (3, 3), build_autocorr(9))
+        # the target's radius is 9
+        with pytest.raises(ValueError, match="breakpoints exceed the kernel support"):
+            optimal_constants(target, (3, 10), build_autocorr(9))
         # valid breakpoints, but a model of the wrong size
         for model in (build_autocorr(8), identity_model(10), np.eye(10)[:, :9]):
             with pytest.raises(ValueError, match="target and model dimensions"):
@@ -223,6 +228,9 @@ class TestSearchPartitions:
         for k in (0, 6, -1):
             with pytest.raises(ValueError):
                 search_partitions(t, k, m)
+        # a radius-2 target has two admissible breakpoints
+        with pytest.raises(ValueError, match="more constants than admissible breakpoints"):
+            search_partitions(sample_gaussian(2.0, 3), 3, identity_model(2))
         # a model of the wrong size, with a valid k
         for model in (build_autocorr(98), identity_model(100), np.eye(100)[:99]):
             with pytest.raises(ValueError, match="target and model dimensions"):
@@ -390,6 +398,8 @@ class TestScaleToSigma:
         for sigma in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"sigma .* {sigma}"):
                 scale_to_sigma(self._base(), sigma)
+        with pytest.raises(ValueError, match="does not carry its native sigma"):
+            scale_to_sigma(SliceKernel((1, 5), (0.3, 0.05)), 2.0)
 
     @pytest.mark.parametrize("sigma0", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_native_sigma(self, sigma0):
@@ -481,10 +491,21 @@ class TestTypeInvariants:
             SliceKernel((-1,), (0.1,))
         with pytest.raises(ValueError):
             SliceKernel((1, 2), (0.1,))
+        with pytest.raises(ValueError, match="cannot normalize a zero-gain kernel"):
+            SliceKernel((2,), (0.0,)).normalized()
+
+    @pytest.mark.parametrize("values, match", [
+        ((1.0,), "need at least 2 half-kernel samples"),
+        ((1.0, np.nan), "half-kernel samples must be finite"),
+    ])
+    def test_sampled_kernel_validation(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            SampledKernel(values)
 
     # radii and breakpoints were cast to int64, which truncated 1.5 to 1
     # without a word; like filter_at's off-grid points, they are refused
-    @pytest.mark.parametrize("radii", [(1.5,), (0, 2.5), (np.nan,), (np.inf,)])
+    # an int past int64 makes numpy's object array, whose cast overflows
+    @pytest.mark.parametrize("radii", [(1.5,), (0, 2.5), (np.nan,), (np.inf,), (10**20,)])
     def test_slice_kernel_refuses_non_integral_radii(self, radii):
         with pytest.raises(ValueError, match="^slice radii must be int64 integers"):
             SliceKernel(radii, np.ones(len(radii)))
@@ -492,6 +513,8 @@ class TestTypeInvariants:
     def test_partition_refuses_non_integral_breakpoints(self):
         with pytest.raises(ValueError, match="^breakpoints must be int64 integers"):
             Partition((1.5, 3), (1.0, 0.5))
+        with pytest.raises(ValueError, match="^breakpoints must be int64 integers"):
+            Partition((1, 10**20), (1.0, 0.5))
 
     def test_optimal_constants_refuses_non_integral_breakpoints(self):
         target = sample_gaussian(3.0, 10)

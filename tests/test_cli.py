@@ -305,6 +305,12 @@ class TestParamsFile:
         path.write_text(text)
         with pytest.raises(ValueError):
             load_params(path)
+        # a list of the wrong length is inconsistent too, not a numpy error
+        match = f"^{re.escape(str(path))}: weights inconsistent with constants$"
+        for weights in ("0.3993, 0.3884", "0.3993, 0.3884, 0.1618, 0.0"):
+            path.write_text(re.sub("(?m)^weights = .*$", f"weights = {weights}", text))
+            with pytest.raises(ValueError, match=match):
+                load_params(path)
 
     @pytest.mark.parametrize("key, value", [
         ("k", "three"), ("sigma0", "1.0.0"), ("breakpoints", "23, x, 76"),
@@ -313,6 +319,8 @@ class TestParamsFile:
         ("constants", "nan, 0.5, 0.1"), ("constants", "0.9, -inf, 0.1"),
         ("k", "+3"), ("k", "-3"), ("k", "3.0"), ("breakpoints", "2_3, 46, 76"),
         ("breakpoints", "23, +46, 76"), ("error_model", "foo"), ("error_model", ""),
+        ("breakpoints", "0, 5, 9"), ("breakpoints", "9, 5, 12"),
+        ("breakpoints", "1, 2, 99999999999999999999"), ("e2", "nan"), ("e2", "-inf"),
     ])
     def test_malformed_number_names_file_and_key(self, tmp_path, key, value):
         part, sigma0 = approx.table_defaults(3)
@@ -434,6 +442,21 @@ class TestFilterCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"sliceblur: {pfile}: bad value for breakpoints: '23, x, 76'\n"
+
+    def test_params_breakpoint_past_int64_exit_2(self, tmp_path, capsys):
+        # numpy holds an int past int64 in an object array, whose cast
+        # overflows; the file is refused like any other bad value
+        src, pfile = tmp_path / "n.pgm", tmp_path / "p.txt"
+        write_pgm(src, np.random.default_rng(3).random((8, 8)))
+        part, sigma0 = approx.table_defaults(3)
+        save_params(pfile, FilterParams(part, sigma0, "qf", 0.0))
+        huge = "breakpoints = 1, 2, 99999999999999999999"
+        pfile.write_text(pfile.read_text().replace("breakpoints = 23, 46, 76", huge))
+        rc = main(["filter", str(src), str(tmp_path / "o.pgm"), "--sigma", "2",
+                   "--params", str(pfile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"sliceblur: {pfile}: bad value for breakpoints: '1, 2, 99999999999999999999'\n"
 
     def test_sigma_beyond_image_roundtrip(self, tmp_path):
         # radius 119 on a 32x32 image: the constant comes back unchanged

@@ -12,6 +12,7 @@ from sliceblur.approx import SliceKernel, gaussian_kernel
 from sliceblur.oracle import (
     PSNR_INF,
     count_ops,
+    dense_separable_2d,
     direct_convolve_1d,
     exact_gaussian_2d,
     gaussian_taps,
@@ -32,6 +33,12 @@ class TestDirectConvolve1D:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
             direct_convolve_1d(np.zeros(10), [0.5, 0.5])
+
+    def test_wrong_ndim_rejected(self):
+        with pytest.raises(ValueError, match="need a 1D signal"):
+            direct_convolve_1d(np.zeros((2, 10)), [1.0])
+        with pytest.raises(ValueError, match="need a 2D image"):
+            dense_separable_2d(np.zeros(10), [1.0])
 
     def test_double_loop_oracle(self):
         rng = np.random.default_rng(2)

@@ -1,5 +1,6 @@
 """Tests for the scripts under tools/."""
 
+import functools
 import importlib.util
 import subprocess
 import sys
@@ -85,3 +86,21 @@ def test_compare_ties_and_direction():
     # and the same rise of a higher-is-better metric wins
     m = rb.compare(_pairs("mpx_per_s", [(b, b + 1.0) for b in base]), "w")["mpx_per_s"]
     assert (m["wins"], m["losses"]) == (10, 0) and m["meets_claim_rule"]
+
+
+def test_timed_interleaves_trees_and_keys_per_call():
+    rb = _record_bench()
+    log = []
+    trees = {"change": "c", "base": "b"}
+    medians, faults = rb.timed(trees, 4, lambda t: {
+        key: functools.partial(log.append, (t, key)) for key in ("x", "y", "z")
+    })
+    # each repetition runs one tree's calls in dict order, then the other's,
+    # and the tree that goes first alternates
+    one = {t: [(t, key) for key in ("x", "y", "z")] for t in "cb"}
+    assert log == 2 * (one["c"] + one["b"] + one["b"] + one["c"])
+    assert list(medians) == ["change", "base"] and list(faults) == ["change", "base"]
+    for side in trees:
+        assert list(medians[side]) == ["x", "y", "z"]
+        assert all(ns > 0 for ns in medians[side].values())
+        assert faults[side] >= 0

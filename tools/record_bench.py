@@ -27,19 +27,21 @@ written, e.g. ``--seeds 11 12 13 14 15 16 17 18 19 20``.
 
 It then times, in this interpreter, the checkout's ``src/sliceblur``
 loaded as ``sliceblur_change`` (with ``--base``, beside the base's, loaded
-as ``sliceblur_base``; in each repetition, which tree's call goes first
-alternates, so that a drift in machine load hits both alike):
+as ``sliceblur_base``).  ``timed`` times the filter calls and the passes:
+in each repetition each tree runs all its calls, and which tree goes
+first alternates, so that a drift in machine load hits both alike.
+``--base`` is meant to be the parent commit, and both trees must have
+the two passes:
 
 * ``separable_filter_2d`` at 512², 1024² and 2048², sigma 5 and 50, k=3,
-  for float64 and float32 inputs (a checkout that filters everything in
-  float64 converts the float32 ones);
+  for float64 and float32 inputs, with the dtype of the output;
 * the two passes of that call, ``_column_pass`` and ``_row_pass``, at
-  1024², sigma 5 and 50, in float32 and float64 (skipped, and recorded as
-  null, for a checkout without them);
+  1024², sigma 5 and 50, in float32 and float64;
 * at thumbnail size, ``separable_filter_2d`` on float64 and float32
   images of 64x70, 113x120 and 158x155, k=5, sigma 2 and 8, with the
   minor page faults per call of each shape and dtype, and
-  ``gaussian_kernel(sigma, 5)``.  ``sliceblur filter`` filters 16-bit
+  ``gaussian_kernel(sigma, 5)``, at a new sigma in every repetition, in
+  a loop of its own.  ``sliceblur filter`` filters 16-bit
   files in float32, and ``read_pgm`` reads them as float64 by default;
 * the ``tracemalloc`` peak of one whole ``sliceblur filter`` request
   (``cli.main``: read, kernel, filter, write) on a 1024² 8-bit file at
@@ -57,6 +59,7 @@ e.g. ``git archive <commit> | tar -x -C /tmp/base``.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import json
 import resource
@@ -99,32 +102,54 @@ def interleaved(trees: dict, rep: int) -> list:
     return items if rep % 2 == 0 else items[::-1]
 
 
+def timed(trees: dict, reps: int, calls) -> tuple[dict, dict]:
+    """Time the calls that ``calls(tree)`` returns, a dict of calls without
+    arguments, ``reps`` times for each tree: in each repetition every tree
+    runs all its calls in their dict order, and which tree goes first
+    alternates (``interleaved``).  A call's result is freed after its time
+    is taken.  Returns per tree the median ns of each call, keyed as the
+    calls are, and the minor page faults per repetition, counted around
+    the tree's calls."""
+    by_tree = {side: calls(t) for side, t in trees.items()}
+    times = {side: {key: [] for key in c} for side, c in by_tree.items()}
+    faults = dict.fromkeys(trees, 0)
+    for rep in range(reps):
+        for side, _ in interleaved(trees, rep):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for key, call in by_tree[side].items():
+                t0 = time.perf_counter_ns()
+                out = call()
+                times[side][key].append(time.perf_counter_ns() - t0)
+                del out
+            faults[side] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
+    medians = {side: {key: statistics.median(t) for key, t in tt.items()}
+               for side, tt in times.items()}
+    return medians, {side: f / reps for side, f in faults.items()}
+
+
+def filter_calls(img, sigmas, k: int):
+    """``calls`` for ``timed``: one separable_filter_2d of ``img`` per sigma,
+    with the tree's k-slice kernel."""
+    return lambda t: {s: functools.partial(t.filtering.separable_filter_2d, img,
+                                           t.approx.gaussian_kernel(s, k)) for s in sigmas}
+
+
 def sigma_ratio(trees: dict) -> dict:
     """Per tree: median wall time of 15 calls of separable_filter_2d at
     sigma 5 and 50, k=3, 512², 1024² and 2048², float64 and float32 input,
-    the sigmas and trees interleaved."""
+    the sigmas and trees interleaved, and the output dtype of a 1x1 call."""
     synth = next(iter(trees.values())).synth
     rows = {side: [] for side in trees}
     for n in (512, 1024, 2048):
         image = synth.make_image("one-over-f", n, n, seed=42)
-        kernels = {side: {s: t.approx.gaussian_kernel(s, 3) for s in (5.0, 50.0)}
-                   for side, t in trees.items()}
         for dtype in ("float64", "float32"):
             img = image.astype(dtype)
-            times = {side: {5.0: [], 50.0: []} for side in trees}
-            out_dtype = {}
-            for rep in range(15):
-                for side, t in interleaved(trees, rep):
-                    for s, kern in kernels[side].items():
-                        t0 = time.perf_counter_ns()
-                        out = t.filtering.separable_filter_2d(img, kern)
-                        times[side][s].append(time.perf_counter_ns() - t0)
-                        out_dtype[side] = out.dtype.name
-                        out = None  # free the output before the next call
-            for side, tt in times.items():
-                ms = {s: statistics.median(t) / 1e6 for s, t in tt.items()}
+            ns, _ = timed(trees, 15, filter_calls(img, (5.0, 50.0), 3))
+            for side, t in trees.items():
+                out = t.filtering.separable_filter_2d(img[:1, :1], t.approx.gaussian_kernel(5.0, 3))
+                ms = {s: v / 1e6 for s, v in ns[side].items()}
                 rows[side].append({
-                    "size": n, "input_dtype": dtype, "output_dtype": out_dtype[side],
+                    "size": n, "input_dtype": dtype, "output_dtype": out.dtype.name,
                     "ms_sigma5": ms[5.0], "ms_sigma50": ms[50.0],
                     "ratio_50_5": ms[50.0] / ms[5.0],
                 })
@@ -135,36 +160,27 @@ def passes(trees: dict) -> dict:
     """Per tree: median wall time of 15 calls of each pass of
     separable_filter_2d at 1024², k=3, in the order that call runs them
     (the column pass into the output, then the row pass on it in place),
-    sigma 5 and 50 and the trees interleaved.  None for a tree without
-    the passes."""
-    have = {side: t for side, t in trees.items()
-            if all(hasattr(t.filtering, f) for f in ("_column_pass", "_row_pass"))}
-    rows = {side: None if side not in have else [] for side in trees}
-    if not have:
-        return rows
-    image = next(iter(trees.values())).synth.make_image("one-over-f", 1024, 1024, seed=42)
-    kernels = {side: {s: t.approx.gaussian_kernel(s, 3) for s in (5.0, 50.0)}
-               for side, t in have.items()}
+    sigma 5 and 50 and the trees interleaved."""
+    first = next(iter(trees.values()))
+    image = first.synth.make_image("one-over-f", 1024, 1024, seed=42)
+    rows = {side: [] for side in trees}
     for dtype in ("float64", "float32"):
         img = image.astype(dtype)
-        out = next(iter(have.values())).filtering._empty(img.shape, img.dtype)
-        times = {side: {(s, p): [] for s in (5.0, 50.0) for p in ("column", "row")}
-                 for side in have}
-        for rep in range(15):
-            for side, t in interleaved(have, rep):
-                for s, kern in kernels[side].items():
-                    t0 = time.perf_counter_ns()
-                    t.filtering._column_pass(img, kern, out)
-                    t1 = time.perf_counter_ns()
-                    t.filtering._row_pass(out, kern, out, img)
-                    t2 = time.perf_counter_ns()
-                    times[side][s, "column"].append(t1 - t0)
-                    times[side][s, "row"].append(t2 - t1)
-        for side, tt in times.items():
+        out = first.filtering._empty(img.shape, img.dtype)
+
+        def calls(t):
+            both = {}
+            for s in (5.0, 50.0):
+                kern = t.approx.gaussian_kernel(s, 3)
+                both[s, "column"] = functools.partial(t.filtering._column_pass, img, kern, out)
+                both[s, "row"] = functools.partial(t.filtering._row_pass, out, kern, out, img)
+            return both
+
+        ns, _ = timed(trees, 15, calls)
+        for side, tt in ns.items():
             rows[side] += [
-                {"size": 1024, "dtype": dtype, "sigma": s, "pass": f"_{p}_pass",
-                 "ms": statistics.median(t) / 1e6}
-                for (s, p), t in tt.items()
+                {"size": 1024, "dtype": dtype, "sigma": s, "pass": f"_{p}_pass", "ms": v / 1e6}
+                for (s, p), v in tt.items()
             ]
     return rows
 
@@ -181,27 +197,15 @@ def thumbnails(trees: dict) -> dict:
     again is much slower."""
     synth = next(iter(trees.values())).synth
     rows = {side: [] for side in trees}
-    kernels = {side: {s: t.approx.gaussian_kernel(s, 5) for s in (2.0, 8.0)}
-               for side, t in trees.items()}
     for h, w in ((64, 70), (113, 120), (158, 155)):
         for dtype in ("float64", "float32"):
             img = synth.make_image("one-over-f", w, h, seed=42).astype(dtype)
-            times = {side: {2.0: [], 8.0: []} for side in trees}
-            faults = dict.fromkeys(trees, 0)
-            for rep in range(300):
-                for side, t in interleaved(trees, rep):
-                    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                    for s, kern in kernels[side].items():
-                        t0 = time.perf_counter_ns()
-                        t.filtering.separable_filter_2d(img, kern)
-                        times[side][s].append(time.perf_counter_ns() - t0)
-                    faults[side] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
-            for side, tt in times.items():
+            ns, faults = timed(trees, 300, filter_calls(img, (2.0, 8.0), 5))
+            for side, tt in ns.items():
                 rows[side] += [
                     {"call": "separable_filter_2d", "size": [h, w], "dtype": dtype,
-                     "k": 5, "sigma": s, "us": statistics.median(t) / 1e3,
-                     "faults_per_call": faults[side] / (300 * len(tt))}
-                    for s, t in tt.items()
+                     "k": 5, "sigma": s, "us": v / 1e3, "faults_per_call": faults[side] / len(tt)}
+                    for s, v in tt.items()
                 ]
     sigmas = np.random.default_rng(0).uniform(1.0, 8.0, 3000).tolist()
     times = {side: [] for side in trees}
@@ -282,9 +286,9 @@ def run_one(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
 def in_process_all(trees: dict) -> dict:
     """Per tree: the in-process timings and request peaks, keyed as in
     ``BENCH_*.json``."""
-    timed = {"sigma_ratio": sigma_ratio(trees), "passes": passes(trees),
-             "thumbnails": thumbnails(trees), "request_memory": request_memory(trees)}
-    return {side: {key: rows[side] for key, rows in timed.items()} for side in trees}
+    tables = {"sigma_ratio": sigma_ratio(trees), "passes": passes(trees),
+              "thumbnails": thumbnails(trees), "request_memory": request_memory(trees)}
+    return {side: {key: rows[side] for key, rows in tables.items()} for side in trees}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -371,14 +375,14 @@ def main(argv=None) -> int:
     trees = {"change": load(checkout, "sliceblur_change")}
     if base is not None:
         trees["base"] = load(base, "sliceblur_base")
-    timed = in_process_all(trees)
-    record.update(timed["change"])
+    measured = in_process_all(trees)
+    record.update(measured["change"])
     if base is not None:
         record["base"] = {
             "checkout": base.name,
             "pairs": pairs,
             "paired": {w: compare(pairs, w) for w in dict.fromkeys(p["workload"] for p in pairs)},
-            **timed["base"],
+            **measured["base"],
         }
         for workload, summary in record["base"]["paired"].items():
             for name, m in summary.items():
