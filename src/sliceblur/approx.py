@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,17 +141,28 @@ def _unit_gain(radii, weights: np.ndarray, sigma, gain: float) -> SliceKernel:
     return SliceKernel(radii, weights / gain, sigma)
 
 
+def _whole(n, lowest: int, what: str) -> int:
+    """``n`` as an int, refused unless it is a whole number >= ``lowest``:
+    an integral float such as 100.0 passes, 2.5, inf and a bool do not;
+    ``what`` names it."""
+    if isinstance(n, bool) or not (
+        isinstance(n, numbers.Integral) or isinstance(n, numbers.Real) and float(n).is_integer()
+    ):
+        raise ValueError(f"{what} must be an integer, got {n!r}")
+    if n < lowest:
+        raise ValueError(f"{what} must be >= {lowest}")
+    return int(n)
+
+
 def sample_gaussian(sigma0: float, n: int) -> SampledKernel:
     """Sample the Gaussian half-kernel at offsets 0..n-1.
 
     The samples are normalized so the implied full symmetric kernel
     (values[0] + 2 * sum of the rest) sums to one.
     """
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
-    if n < 2:
-        raise ValueError("need at least 2 samples")
-    t = np.arange(n, dtype=np.float64)
+    if not (math.isfinite(sigma0) and sigma0 > 0):
+        raise ValueError(f"sigma0 must be positive and finite, got {sigma0}")
+    t = np.arange(_whole(n, 2, "the sample count n"), dtype=np.float64)
     v = np.exp(-(t * t) / (2.0 * sigma0 * sigma0))
     v /= v[0] + 2.0 * v[1:].sum()
     return SampledKernel(v)
@@ -168,8 +180,7 @@ def build_autocorr(r: int) -> np.ndarray:
     inverse DFT, and the (r+1) x (r+1) Toeplitz matrix A[j, k] = Phi_{|j-k|}
     for j, k in 0..r is the model.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    r = _whole(r, 1, "r")
     n = 2 * r + 1
     m = np.arange(n)
     u = np.minimum(m, n - m).astype(np.float64)  # signed frequency magnitude
@@ -184,9 +195,7 @@ def build_autocorr(r: int) -> np.ndarray:
 
 def identity_model(r: int) -> np.ndarray:
     """Uncorrelated-pixel model: A = I, so E2 is the plain l2 kernel error."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    return np.eye(r + 1)
+    return np.eye(_whole(r, 1, "r") + 1)
 
 
 def quadratic_error(

@@ -160,9 +160,14 @@ _NARROW = 256
 
 def as_float(a) -> np.ndarray:
     """``a`` as the array the filters compute in: a float32 array as it
-    is, anything else converted to float64."""
+    is, anything else converted to float64.  A complex array is refused,
+    not cut to its real part."""
     a = np.asarray(a)
-    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+    if a.dtype == np.float32:
+        return a
+    if a.dtype.kind == "c":
+        raise ValueError(f"need real pixels, got {a.dtype}: pass the real part or the modulus")
+    return a.astype(np.float64, copy=False)
 
 
 def _centre(dtype) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import SliceKernel
-from .filtering import _block_rows, _empty
+from .filtering import _block_rows, _empty, as_float
 
 #: PSNR reported for identical images (MSE = 0).
 PSNR_INF = math.inf
@@ -37,6 +37,11 @@ class OpCounter:
         return self.multiplications / self.pixels
 
 
+def _float64(a) -> np.ndarray:
+    """``a`` as a float64 array; a complex one is refused (``as_float``)."""
+    return as_float(a).astype(np.float64, copy=False)
+
+
 def _correlate(a: np.ndarray, dense_kernel, axis: int) -> np.ndarray:
     """Correlate the rows (``axis`` 1) or columns (``axis`` 0) of a 2D
     float64 array with an odd-length kernel, replicate boundary.
@@ -46,7 +51,7 @@ def _correlate(a: np.ndarray, dense_kernel, axis: int) -> np.ndarray:
     block in index order, so no result depends on the block size.  The
     column pass reads contiguous row windows, with no transpose.
     """
-    taps = np.asarray(dense_kernel, dtype=np.float64)
+    taps = _float64(dense_kernel)
     if taps.ndim != 1 or taps.size % 2 == 0:
         raise ValueError("dense kernel must be 1D and odd-length")
     r = taps.size // 2
@@ -69,7 +74,7 @@ def _correlate(a: np.ndarray, dense_kernel, axis: int) -> np.ndarray:
 def direct_convolve_1d(signal, dense_kernel) -> np.ndarray:
     """Dense centered correlation, replicate boundary:
     out[x] = sum_j kern[j+r] * f(x+j), f clamped at the ends."""
-    signal = np.asarray(signal, dtype=np.float64)
+    signal = _float64(signal)
     if signal.ndim != 1:
         raise ValueError("need a 1D signal")
     return _correlate(signal[None, :], dense_kernel, 1)[0]
@@ -78,7 +83,7 @@ def direct_convolve_1d(signal, dense_kernel) -> np.ndarray:
 def dense_separable_2d(image, dense_kernel) -> np.ndarray:
     """Reference separable filter for any odd-length dense kernel: every
     row, then every column, correlated with it, replicate boundary."""
-    image = np.asarray(image, dtype=np.float64)
+    image = _float64(image)
     if image.ndim != 2:
         raise ValueError("need a 2D image")
     return _correlate(_correlate(image, dense_kernel, 1), dense_kernel, 0)
@@ -90,6 +95,10 @@ def gaussian_taps(sigma: float) -> np.ndarray:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if not math.pi * sigma < 2.0**63:
         raise ValueError(f"sigma {sigma} is too large: its radius overflows int64")
+    if sigma < 0.02:
+        # the side taps exp(-1 / (2 sigma^2)) are 0 in float64, and below
+        # about 5e-155 the division would overflow, below 1e-162 be 0 / 0
+        return np.array([0.0, 1.0, 0.0])
     r = math.ceil(math.pi * sigma)
     t = np.arange(-r, r + 1, dtype=np.float64)
     v = np.exp(-(t * t) / (2.0 * sigma * sigma))
@@ -104,8 +113,7 @@ def exact_gaussian_2d(image, sigma: float) -> np.ndarray:
 
 def mse(a, b) -> float:
     """Mean squared pixel difference."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _float64(a), _float64(b)
     if a.shape != b.shape:
         raise ValueError("image dimensions must agree")
     d = a - b

@@ -99,7 +99,9 @@ def write_pgm(path, image, maxval: int = 255):
     image = as_float(image)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("need a non-empty 2D image")
-    if not (isinstance(maxval, numbers.Integral) and 0 < maxval < 65536):
+    # a bool is an Integral, but True is no maxval
+    integral = isinstance(maxval, numbers.Integral) and not isinstance(maxval, bool)
+    if not (integral and 0 < maxval < 65536):
         raise ValueError(f"bad maxval {maxval}")
     h, w = image.shape
     samples = np.empty((h, w), _sample_type(maxval))

@@ -38,6 +38,12 @@ class TestSampleGaussian:
             sample_gaussian(-1.0, 10)
         with pytest.raises(ValueError):
             sample_gaussian(2.0, 1)
+        # a count that is not a whole number is refused, not truncated, and
+        # an infinite sigma0 would give a flat kernel
+        for sigma0, n in [(10.0, 2.5), (10.0, True), (math.inf, 4), (math.nan, 4)]:
+            with pytest.raises(ValueError):
+                sample_gaussian(sigma0, n)
+        assert np.array_equal(sample_gaussian(3.0, 100.0).values, sample_gaussian(3.0, 100).values)
 
     def test_two_samples_monotone(self):
         k = sample_gaussian(1.7, 2)
@@ -63,6 +69,11 @@ class TestBuildAutocorr:
             identity_model(0)
         with pytest.raises(ValueError):
             build_autocorr(0)
+        for model in (build_autocorr, identity_model):
+            for r in (2.5, math.inf, True):
+                with pytest.raises(ValueError, match="^r must be an integer"):
+                    model(r)
+            assert np.array_equal(model(4.0), model(4))
 
     def test_even_symmetry(self):
         # Phi_{j-k} = Phi_{k-j} exactly

@@ -99,7 +99,7 @@ class TestPgm:
                 write_pgm(path, img)
             assert not path.exists()
 
-    @pytest.mark.parametrize("maxval", [255.5, 65535.5, 255.0, "255"])
+    @pytest.mark.parametrize("maxval", [255.5, 65535.5, 255.0, "255", True, np.bool_(True)])
     def test_write_rejects_maxval_that_is_not_an_integer(self, tmp_path, maxval):
         # 255.5 would get a "255" header but 2-byte samples
         path = tmp_path / "m.pgm"

@@ -9,8 +9,9 @@ from sliceblur import filtering, oracle
 from sliceblur.approx import SliceKernel, gaussian_kernel
 from sliceblur.filtering import filter_at, separable_filter_2d, slice_filter_1d
 from sliceblur.oracle import (
-    dense_separable_2d, direct_convolve_1d, exact_gaussian_2d, psnr,
+    dense_separable_2d, direct_convolve_1d, exact_gaussian_2d, mse, psnr,
 )
+from sliceblur.pgm import write_pgm
 from sliceblur.synth import make_image
 
 
@@ -365,6 +366,27 @@ def test_rejects_non_finite_input(entry, dtype):
 def test_rejects_kernel_without_unit_gain(entry, kern):
     with pytest.raises(ValueError, match="^kernel must have unit DC gain"):
         entry(np.ones((4, 4)), kern)
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("entry", [
+    lambda img, kern, path: slice_filter_1d(img[0], kern),
+    lambda img, kern, path: separable_filter_2d(img, kern),
+    lambda img, kern, path: filter_at(img, kern, [(0, 0)]),
+    lambda img, kern, path: write_pgm(path, img),
+    lambda img, kern, path: dense_separable_2d(img, kern.dense()),
+    lambda img, kern, path: direct_convolve_1d(img[0], kern.dense()),
+    lambda img, kern, path: mse(img, img.real),
+], ids=["slice_filter_1d", "separable_filter_2d", "filter_at", "write_pgm",
+        "dense_separable_2d", "direct_convolve_1d", "mse"])
+def test_rejects_complex_input(entry, dtype, tmp_path):
+    # casting to float would drop the imaginary part, with only a warning
+    rng = np.random.default_rng(48)
+    img = (rng.random((8, 9)) + 1j * rng.random((8, 9))).astype(dtype)
+    path = tmp_path / "c.pgm"
+    with pytest.raises(ValueError, match=f"^need real pixels, got {np.dtype(dtype).name}"):
+        entry(img, table_kernel(3, 1.0), path)
+    assert not path.exists()
 
 
 def test_rejects_overflowing_column_sum():

@@ -66,6 +66,10 @@ class TestExactGaussian2D:
         img = rng.random((20, 20))
         assert np.abs(exact_gaussian_2d(img, 0.3) - img).max() <= 2e-2
         assert np.abs(exact_gaussian_2d(img, 0.2) - img).max() <= 1e-3
+        # below about 5e-155 the taps' t^2 / (2 sigma^2) overflows, below
+        # about 1e-162 2 sigma^2 underflows to 0; the side taps are 0 either way
+        for sigma in (1e-160, 1e-300):
+            assert np.array_equal(exact_gaussian_2d(img, sigma), img)
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):

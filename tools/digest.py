@@ -18,6 +18,7 @@ the text of the exception the call raised.  The grid:
   and a 3-slice kernel;
 * ``separable_filter_2d``, ``filter_at`` at the corners, the centre and
   a repeated point, and ``slice_filter_1d`` on the first row;
+* each of the three on a 7x9 complex image, which they refuse;
 * plus the radii and weights of ``gaussian_kernel`` at k 3, 4 and 5 over
   a sigma grid;
 * a 1100x1024 float64 and float32 image at sigma 50, k 3 and 5, whose
@@ -34,8 +35,8 @@ the text of the exception the call raised.  The grid:
 * ``sliceblur optimize`` files, k 1 to 5 under ``qf`` and ``l2`` at 16,
   20 and 100 samples, hashed the same way;
 * and one ``sliceblur bench --l2`` CSV of a seeded 8-bit 70x50 and 16-bit
-  33x41 corpus at sigma 1, 4.5 and 20 and k 3 and 5: one line per row,
-  of every column but ``wall_time_ns``.
+  33x41 corpus at sigma 1, 4.5, 20 and 1e-300 and k 3 and 5: one line
+  per row, of every column but ``wall_time_ns``.
 
 Two checkouts filter alike, bit for bit, where their lines agree:
 
@@ -144,7 +145,8 @@ def tool_digest(sliceblur) -> list[str]:
             _write_pgm(src, rng.integers(0, maxval, (h, w), endpoint=True), maxval)
         csv_path = Path(tmp) / "bench.csv"
         argv = ["bench", str(corpus), "--sigma", "1", "--sigma", "4.5", "--sigma", "20",
-                "--k", "3", "--k", "5", "--reps", "3", "--l2", "--csv", str(csv_path)]
+                "--sigma", "1e-300", "--k", "3", "--k", "5", "--reps", "3", "--l2",
+                "--csv", str(csv_path)]
         rc = main(argv)
         rows = csv_path.read_text().splitlines() if rc == 0 else []
         lines.append(f"bench-exit {_short(str(rc).encode())}")
@@ -192,6 +194,11 @@ def digest(sliceblur) -> list[str]:
                         lines.append(f"2d-{case} {_call(f.separable_filter_2d, img, kern)}")
                         lines.append(f"at-{case} {_call(f.filter_at, img, kern, points)}")
                         lines.append(f"1d-{case} {_call(f.slice_filter_1d, img[0], kern)}")
+    rng = np.random.default_rng(24)
+    img, kern = rng.random((7, 9)) + 1j * rng.random((7, 9)), kernels["s2"]
+    lines.append(f"2d-7x9-complex-s2 {_call(f.separable_filter_2d, img, kern)}")
+    lines.append(f"at-7x9-complex-s2 {_call(f.filter_at, img, kern, [(0, 0), (8, 6)])}")
+    lines.append(f"1d-7x9-complex-s2 {_call(f.slice_filter_1d, img[0], kern)}")
     return lines + shift_digest(sliceblur) + cli_digest(sliceblur) + tool_digest(sliceblur)
 
 
@@ -224,10 +231,7 @@ def main(argv=None) -> int:
         print("usage: python3 tools/digest.py CHECKOUT", file=sys.stderr)
         return 2
     sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
-    import sliceblur.approx
-    import sliceblur.cli
-    import sliceblur.filtering
-    import sliceblur.params
+    import sliceblur.cli  # binds approx, filtering and params on the package too
 
     print("\n".join(digest(sliceblur)))
     return 0

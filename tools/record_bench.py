@@ -2,22 +2,21 @@
 
 Usage (from the repository root):
 
-    python3 tools/record_bench.py --label NAME [--checkout DIR] [--base DIR]
+    python3 tools/record_bench.py --label NAME --base DIR [--checkout DIR]
         [--seeds N ...] [--workload NAME ...]
 
-Runs ``perfbench/run.py`` of the checkout (default: this repository) for
-25 s once for every workload that ``BENCHMARK.json`` lists (or each
-``--workload``) and each seed (default 1, 2 and 3), one run at a time, and
-keeps the JSON result line each run prints, with the metrics it prints
-beside that line (such as ``req_count`` and ``req_tail_pct``, the
-percentile ``req_tail_ms`` was taken at) under ``extra``.
-
-With ``--base DIR``, every run of the checkout is paired with a run of the
-base checkout, for the same workload and seed, back to back; which of the
-two goes first alternates from pair to pair.  For each workload and
-end-to-end metric the file then records both sides' medians and quartiles
-(linear interpolation), the base's interquartile range, and the pairs that
-the checkout won and lost in the metric's better direction (ties count for
+``--base`` is required: every run pairs the checkout (default: this
+repository) with the base checkout in ``DIR``.  For every workload that
+``BENCHMARK.json`` lists (or each ``--workload``) and each seed (default
+1, 2 and 3) it runs both checkouts' ``perfbench/run.py`` for 25 s, back to
+back, one run at a time; which of the two goes first alternates from pair
+to pair.  Each pair is stored once, under ``base.pairs``: both sides' JSON
+result lines, with the metrics each run prints beside that line (such as
+``req_count`` and ``req_tail_pct``, the percentile ``req_tail_ms`` was
+taken at) under ``extra``.  For each workload and end-to-end metric
+``base.paired`` then records both sides' medians and quartiles (linear
+interpolation), the base's interquartile range, and the pairs that the
+checkout won and lost in the metric's better direction (ties count for
 neither).  ``meets_claim_rule`` is true when the checkout won at least 9 of
 every 10 pairs and its median is better than the base's by more than the
 base's interquartile range; ``rel_change`` is (checkout - base) / base of
@@ -26,12 +25,11 @@ A claim should rest on seeds that were not used while the change was
 written, e.g. ``--seeds 11 12 13 14 15 16 17 18 19 20``.
 
 It then times, in this interpreter, the checkout's ``src/sliceblur``
-loaded as ``sliceblur_change`` (with ``--base``, beside the base's, loaded
-as ``sliceblur_base``).  ``timed`` times the filter calls and the passes:
-in each repetition each tree runs all its calls, and which tree goes
-first alternates, so that a drift in machine load hits both alike.
-``--base`` is meant to be the parent commit, and both trees must have
-the two passes:
+loaded as ``sliceblur_change`` beside the base's, loaded as
+``sliceblur_base``.  ``timed`` times every call: in each repetition each
+tree runs all its calls, and which tree goes first alternates, so that a
+drift in machine load hits both alike.  ``--base`` is meant to be the
+parent commit, and both trees must have the two passes:
 
 * ``separable_filter_2d`` at 512², 1024² and 2048², sigma 5 and 50, k=3,
   for float64 and float32 inputs, with the dtype of the output;
@@ -40,20 +38,22 @@ the two passes:
 * at thumbnail size, ``separable_filter_2d`` on float64 and float32
   images of 64x70, 113x120 and 158x155, k=5, sigma 2 and 8, with the
   minor page faults per call of each shape and dtype, and
-  ``gaussian_kernel(sigma, 5)``, at a new sigma in every repetition, in
-  a loop of its own.  ``sliceblur filter`` filters 16-bit
-  files in float32, and ``read_pgm`` reads them as float64 by default;
+  ``gaussian_kernel(sigma, 5)``, at a new sigma in every repetition.
+  ``sliceblur filter`` filters 16-bit files in float32, and ``read_pgm``
+  reads them as float64 by default;
 * the ``tracemalloc`` peak of one whole ``sliceblur filter`` request
   (``cli.main``: read, kernel, filter, write) on a 1024² 8-bit file at
   sigma 2, 5, 12 and 50, k=3, and on a 113x120 16-bit file at sigma 8,
   k=5, under ``request_memory``.
 
 Everything, with the machine facts that run.py prints, goes to
-``BENCH_<label>.json`` in the root of this repository.  Nothing under
+``BENCH_<label>.json``, the checkout's rows at the top level and the
+base's under ``base``, in the root of this repository.  Nothing under
 ``perfbench/`` is changed.
 
-Benchmark another commit by pointing ``--checkout`` at an export of it,
-e.g. ``git archive <commit> | tar -x -C /tmp/base``.
+Benchmark another commit, or give the base, by pointing ``--checkout``
+or ``--base`` at an export of it, e.g.
+``git archive <commit> | tar -x -C /tmp/base``.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.util
+import itertools
 import json
 import resource
 import statistics
@@ -74,6 +75,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# the workloads and end-to-end metrics, with their better direction and bound
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 # the default seeds, and the run length of every label, so the files compare
 SEEDS = (1, 2, 3)
 SECONDS = 25.0
@@ -94,27 +97,20 @@ def load(checkout: Path, name: str):
     return package
 
 
-def interleaved(trees: dict, rep: int) -> list:
-    """``trees``' items in the order of repetition ``rep``: which tree's
-    call goes first alternates, so that a drift in machine load hits both
-    alike."""
-    items = list(trees.items())
-    return items if rep % 2 == 0 else items[::-1]
-
-
 def timed(trees: dict, reps: int, calls) -> tuple[dict, dict]:
     """Time the calls that ``calls(tree)`` returns, a dict of calls without
     arguments, ``reps`` times for each tree: in each repetition every tree
     runs all its calls in their dict order, and which tree goes first
-    alternates (``interleaved``).  A call's result is freed after its time
-    is taken.  Returns per tree the median ns of each call, keyed as the
-    calls are, and the minor page faults per repetition, counted around
-    the tree's calls."""
+    alternates, so that a drift in machine load hits both alike.  A call's
+    result is freed after its time is taken.  Returns per tree the median
+    ns of each call, keyed as the calls are, and the minor page faults per
+    repetition, counted around the tree's calls."""
     by_tree = {side: calls(t) for side, t in trees.items()}
     times = {side: {key: [] for key in c} for side, c in by_tree.items()}
     faults = dict.fromkeys(trees, 0)
+    sides = list(trees)
     for rep in range(reps):
-        for side, _ in interleaved(trees, rep):
+        for side in sides if rep % 2 == 0 else sides[::-1]:
             f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for key, call in by_tree[side].items():
                 t0 = time.perf_counter_ns()
@@ -207,16 +203,13 @@ def thumbnails(trees: dict) -> dict:
                      "k": 5, "sigma": s, "us": v / 1e3, "faults_per_call": faults[side] / len(tt)}
                     for s, v in tt.items()
                 ]
+    # every tree draws the next sigma of one sequence in each repetition
     sigmas = np.random.default_rng(0).uniform(1.0, 8.0, 3000).tolist()
-    times = {side: [] for side in trees}
-    for rep, s in enumerate(sigmas):
-        for side, t in interleaved(trees, rep):
-            t0 = time.perf_counter_ns()
-            t.approx.gaussian_kernel(s, 5)
-            times[side].append(time.perf_counter_ns() - t0)
-    for side, t in times.items():
+    ns, _ = timed(trees, len(sigmas), lambda t: {"kernel": functools.partial(
+        next, map(t.approx.gaussian_kernel, sigmas, itertools.repeat(5)))})
+    for side, tt in ns.items():
         rows[side].append({"call": "gaussian_kernel", "k": 5, "sigma": "U[1, 8]",
-                           "us": statistics.median(t) / 1e3})
+                           "us": tt["kernel"] / 1e3})
     return rows
 
 
@@ -252,13 +245,7 @@ def request_memory(trees: dict) -> dict:
 def end_to_end() -> dict:
     """Each end-to-end metric of ``BENCHMARK.json``: its better direction
     and bound."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m for m in spec["end_to_end"]}
-
-
-def workloads() -> list[str]:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [w["name"] for w in spec["workloads"]]
+    return {m["name"]: m for m in SPEC["end_to_end"]}
 
 
 def run_one(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
@@ -281,14 +268,6 @@ def run_one(checkout: Path, workload: str, seed: int) -> tuple[dict, dict]:
         name: float(value) for _, name, value, *_ in printed if name not in result["metrics"]
     }
     return json.loads(machine.removeprefix("machine ")), result
-
-
-def in_process_all(trees: dict) -> dict:
-    """Per tree: the in-process timings and request peaks, keyed as in
-    ``BENCH_*.json``."""
-    tables = {"sigma_ratio": sigma_ratio(trees), "passes": passes(trees),
-              "thumbnails": thumbnails(trees), "request_memory": request_memory(trees)}
-    return {side: {key: rows[side] for key, rows in tables.items()} for side in trees}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -337,61 +316,50 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--checkout", type=Path, default=ROOT)
-    parser.add_argument("--base", type=Path, default=None,
+    parser.add_argument("--base", type=Path, required=True,
                         help="pair every run with one of this checkout")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    parser.add_argument("--workload", action="append", choices=workloads(),
+    workloads = [w["name"] for w in SPEC["workloads"]]
+    parser.add_argument("--workload", action="append", choices=workloads,
                         help="run only this workload (repeatable)")
     args = parser.parse_args(argv)
-    checkout = args.checkout.resolve()
-    base = args.base.resolve() if args.base else None
+    dirs = {"base": args.base.resolve(), "change": args.checkout.resolve()}
 
-    runs, pairs, machine = [], [], None
-    for workload in args.workload or workloads():
+    pairs, machine = [], None
+    for workload in args.workload or workloads:
         for seed in args.seeds:
-            if base is None:
-                machine, result = run_one(checkout, workload, seed)
-                runs.append({"workload": workload, "seed": seed, "result": result})
-                print(f"{workload} seed {seed}: " + json.dumps(result["metrics"]), flush=True)
-                continue
             # alternate which side goes first, so a drift hits both alike
             order = ["base", "change"] if len(pairs) % 2 == 0 else ["change", "base"]
             pair = {"workload": workload, "seed": seed, "first": order[0]}
             for side in order:
-                machine, pair[side] = run_one(base if side == "base" else checkout, workload, seed)
+                machine, pair[side] = run_one(dirs[side], workload, seed)
             pairs.append(pair)
-            runs.append({"workload": workload, "seed": seed, "result": pair["change"]})
             print(f"{workload} seed {seed}, {order[0]} first: " + json.dumps({
                 name: [pair[side]["metrics"][name]["value"] for side in ("base", "change")]
                 for name in end_to_end() if name in pair["change"]["metrics"]
             }), flush=True)
+    trees = {side: load(dirs[side], f"sliceblur_{side}") for side in ("change", "base")}
+    tables = {"sigma_ratio": sigma_ratio(trees), "passes": passes(trees),
+              "thumbnails": thumbnails(trees), "request_memory": request_memory(trees)}
+    measured = {side: {key: rows[side] for key, rows in tables.items()} for side in trees}
+    paired = {w: compare(pairs, w) for w in dict.fromkeys(p["workload"] for p in pairs)}
     record = {
         "label": args.label,
         "command": ["python3", "perfbench/run.py", "--seconds", SECONDS, "--trace", 0],
         "seeds": args.seeds,
         "machine": machine,
-        "runs": runs,
+        **measured["change"],
+        "base": {"checkout": dirs["base"].name, "pairs": pairs, "paired": paired,
+                 **measured["base"]},
     }
-    trees = {"change": load(checkout, "sliceblur_change")}
-    if base is not None:
-        trees["base"] = load(base, "sliceblur_base")
-    measured = in_process_all(trees)
-    record.update(measured["change"])
-    if base is not None:
-        record["base"] = {
-            "checkout": base.name,
-            "pairs": pairs,
-            "paired": {w: compare(pairs, w) for w in dict.fromkeys(p["workload"] for p in pairs)},
-            **measured["base"],
-        }
-        for workload, summary in record["base"]["paired"].items():
-            for name, m in summary.items():
-                print(
-                    f"{workload:14} {name:13} base {m['base']['median']:.4g} "
-                    f"(IQR {m['base_iqr']:.3g})  change {m['change']['median']:.4g}  "
-                    f"won {m['wins']}/{m['pairs']} lost {m['losses']}"
-                    + ("  meets claim rule" if m["meets_claim_rule"] else "")
-                )
+    for workload, summary in paired.items():
+        for name, m in summary.items():
+            print(
+                f"{workload:14} {name:13} base {m['base']['median']:.4g} "
+                f"(IQR {m['base_iqr']:.3g})  change {m['change']['median']:.4g}  "
+                f"won {m['wins']}/{m['pairs']} lost {m['losses']}"
+                + ("  meets claim rule" if m["meets_claim_rule"] else "")
+            )
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")
